@@ -1,10 +1,12 @@
-"""Dense float64 linear algebra kernels with deterministic semantics.
+"""Float64 linear algebra kernels with deterministic semantics.
 
-Every public function works on 2-D ``numpy`` arrays of ``float64`` and is
-written so that repeated runs on the same machine produce bit-identical
-results: products accumulate in a fixed order over the inner dimension
-(no BLAS dispatch), sorting is stable, and the linear solver is a plain
-partial-pivot elimination with an explicit singularity threshold.
+Every public function works on 2-D ``numpy`` arrays of ``float64`` (the
+sparse solver takes its matrix as 1-D coordinate arrays) and is written so
+that repeated runs on the same machine produce bit-identical results:
+products accumulate in a fixed order over the inner dimension (no BLAS
+dispatch), sorting is stable, and the sparse solver is conjugate gradient
+with ``np.bincount`` products and elementwise-sum inner products. The dense
+elimination ``solve_linear`` is kept as the test oracle for that solver.
 """
 
 from __future__ import annotations
@@ -20,6 +22,10 @@ NORM_TOL = 1e-12
 
 class SingularMatrixError(ValueError):
     """Raised when elimination meets a pivot below ``PIVOT_TOL``."""
+
+
+class ConvergenceError(ArithmeticError):
+    """Raised when conjugate gradient exhausts its budget or loses definiteness."""
 
 
 def require_matrix(x, name: str = "matrix") -> np.ndarray:
@@ -112,9 +118,63 @@ def symmetric_normalize(w) -> np.ndarray:
     return w * np.outer(inv_sqrt, inv_sqrt)
 
 
+def sparse_cg_solve(rows, cols, vals, b, rtol: float, max_iter: int) -> np.ndarray:
+    """Solve ``a @ x = b`` by conjugate gradient, ``a`` given by its nonzeros.
+
+    ``a`` is symmetric positive definite with ``a[rows[i], cols[i]] =
+    vals[i]`` and zeros elsewhere; ``b`` may hold several right-hand sides
+    as columns. Each column runs its own iteration with its own step sizes
+    and stops once its residual norm is at most ``rtol`` times the norm of
+    that column of ``b``, so an all-zero column is solved by zero at step 0.
+    A product with ``a`` is one ``np.bincount`` over the nonzeros and inner
+    products are elementwise sums, so no BLAS call is made and repeated runs
+    are bit-identical.
+
+    Raises ``ConvergenceError`` naming the column, the iteration count and
+    the residual when a column is still above tolerance after ``max_iter``
+    iterations, or when a step meets non-positive curvature (``a`` is not
+    positive definite).
+    """
+    b = require_matrix(b, "b")
+    n = b.shape[0]
+    x = np.zeros_like(b)
+    for c in range(b.shape[1]):
+        r = b[:, c].copy()
+        rr = float((r * r).sum())
+        # Squared norms, so the test needs no sqrt; "not <=" keeps NaN running.
+        limit = rtol * rtol * rr
+        p = r.copy()
+        xc = np.zeros(n)
+        steps = 0
+        while not rr <= limit:
+            if steps == max_iter:
+                raise ConvergenceError(
+                    f"column {c}: residual {np.sqrt(rr):.3e} still above "
+                    f"{np.sqrt(limit):.3e} after {steps} iterations"
+                )
+            q = np.bincount(rows, weights=vals * p[cols], minlength=n)
+            curvature = float((p * q).sum())
+            if not curvature > 0.0:
+                raise ConvergenceError(
+                    f"column {c}: curvature {curvature!r} at iteration {steps}; "
+                    "matrix is not positive definite"
+                )
+            step = rr / curvature
+            xc += step * p
+            r -= step * q
+            rr_next = float((r * r).sum())
+            p = r + (rr_next / rr) * p
+            rr = rr_next
+            steps += 1
+        x[:, c] = xc
+    return x
+
+
 def solve_linear(a, b) -> np.ndarray:
     """Solve ``a @ x = b`` by Gaussian elimination with partial pivoting.
 
+    This is the dense O(n^3) test oracle for ``sparse_cg_solve``; it stays
+    public because the benchmark reports it under its own per-layer names.
     ``b`` may hold multiple right-hand sides as columns. Raises
     ``SingularMatrixError`` when the best available pivot falls below
     ``PIVOT_TOL``.

@@ -312,8 +312,17 @@ def load_model(path) -> ModelParams:
         return parts[1:]
 
     activation = expect(1, "activation")[0]
+    if activation not in ACTIVATIONS:
+        raise ValueError(
+            f"{path}: unknown activation {activation!r} on line 2, expected one of {ACTIVATIONS}"
+        )
     frozen_field = expect(2, "frozen")[0]
     frozen = set() if frozen_field == "-" else set(frozen_field.split(","))
+    unknown = sorted(frozen - set(GROUPS))
+    if unknown:
+        raise ValueError(
+            f"{path}: unknown frozen group {unknown[0]!r} on line 3, expected names from {GROUPS}"
+        )
     dims = [int(d) for d in expect(3, "dims")]
 
     tensors: dict[str, np.ndarray] = {}

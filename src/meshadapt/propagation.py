@@ -5,8 +5,10 @@ labeled rows first, then augmented seed rows (unlabeled rows promoted to
 seeds on the strength of a confident prediction), then the remaining
 unlabeled rows. Edge weights are ``exp(cosine similarity)`` sparsified to
 the k strongest neighbours per row, symmetrised, and degree-normalised,
-which keeps the spectral radius at 1 so the damped closed-form system
-``(I - alpha * W) Z = Y`` is well posed for any ``alpha`` in (0, 1).
+which keeps the spectral radius at 1. The damped system
+``(I - alpha * W) Z = Y`` is then symmetric positive definite with
+eigenvalues in [1 - alpha, 1 + alpha] for any ``alpha`` in (0, 1), and
+conjugate gradient solves it over the k-NN nonzeros of ``W``.
 
 Scores never overwrite seeds: pseudo labels are read off only for the
 unlabeled block, and callers keep seed rows bound to their seed classes.
@@ -14,6 +16,7 @@ unlabeled block, and callers keep seed rows bound to their seed classes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -21,9 +24,16 @@ import numpy as np
 
 from . import linalg
 
+# A score column is solved once its residual is at most this fraction of the
+# norm of its seed column.
+CG_RTOL = 1e-14
+
+# Conjugate-gradient iterations allowed beyond the condition-number bound.
+CG_ITER_MARGIN = 20
+
 
 class PropagationError(RuntimeError):
-    """Raised when the propagation system is unexpectedly unsolvable."""
+    """Raised when the propagation solve fails to converge."""
 
 
 @dataclass
@@ -121,22 +131,47 @@ def build_graph(
     return PropagationGraph(features, w_norm, seed_labels, layout)
 
 
-def propagate(graph: PropagationGraph, alpha: float) -> PropagationResult:
-    """Closed-form propagation: solve (I - alpha * W) Z = Y.
+def _cg_budget(alpha: float) -> int:
+    """CG iterations that reach ``CG_RTOL`` on ``I - alpha * W``, plus the margin.
 
-    Pseudo labels are the row argmax over the unlabeled block (ties go to
-    the lowest class index). Confidence is the winning score divided by the
-    row sum; rows that received no mass (disconnected nodes) get confidence
-    zero and fall back to class 0 via the tie rule.
+    The condition number is at most ``kappa = (1 + alpha) / (1 - alpha)``,
+    and after k iterations CG's residual is at most
+    ``2 sqrt(kappa) rate**k`` times the first, with
+    ``rate = (sqrt(kappa) - 1) / (sqrt(kappa) + 1)``.
+    """
+    root = math.sqrt((1.0 + alpha) / (1.0 - alpha))
+    rate = (root - 1.0) / (root + 1.0)
+    bound = math.ceil(math.log(CG_RTOL / (2.0 * root)) / math.log(rate)) if rate > 0.0 else 1
+    return bound + CG_ITER_MARGIN
+
+
+def propagate(graph: PropagationGraph, alpha: float) -> PropagationResult:
+    """Solve (I - alpha * W) Z = Y by conjugate gradient over the nonzeros of W.
+
+    Rows in a graph component without seeds get exactly zero scores, since
+    the system is block-diagonal across components. Pseudo labels are the
+    row argmax over the unlabeled block (ties go to the lowest class index).
+    Confidence is the winning score divided by the row sum; rows that
+    received no mass (disconnected nodes) get confidence zero and fall back
+    to class 0 via the tie rule. Raises ``PropagationError`` naming the
+    iteration count and the residual if the solve exceeds its budget.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
     n = graph.w_norm.shape[0]
-    system = np.eye(n) - alpha * graph.w_norm
+    rows, cols = np.nonzero(graph.w_norm)
+    diagonal = np.arange(n)
     try:
-        scores = linalg.solve_linear(system, graph.seed_labels)
-    except linalg.SingularMatrixError as exc:  # unreachable for alpha < 1
-        raise PropagationError(f"propagation system singular: {exc}") from exc
+        scores = linalg.sparse_cg_solve(
+            np.concatenate([rows, diagonal]),
+            np.concatenate([cols, diagonal]),
+            np.concatenate([-alpha * graph.w_norm[rows, cols], np.ones(n)]),
+            graph.seed_labels,
+            CG_RTOL,
+            _cg_budget(alpha),
+        )
+    except linalg.ConvergenceError as exc:
+        raise PropagationError(f"propagation did not converge: {exc}") from exc
 
     block = scores[graph.layout.unlabeled_slice]
     pseudo = np.argmax(block, axis=1)
@@ -151,9 +186,9 @@ def propagate_iterative_oracle(
 ) -> np.ndarray:
     """Reference scores by damped fixed-point iteration Z <- alpha*W*Z + Y.
 
-    Kept deliberately independent of the closed-form path (repeated products
-    instead of a solve) so the two can cross-check each other. Convergence is
-    geometric at rate ``alpha``.
+    Kept deliberately independent of the solver path (dense products
+    instead of sparse conjugate gradient) so the two can cross-check each
+    other. Convergence is geometric at rate ``alpha``.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")

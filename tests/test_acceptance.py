@@ -16,6 +16,8 @@ import pytest
 from meshadapt import cli, data, experiments, linalg, losses, model, trainer
 from meshadapt.propagation import build_graph, propagate, propagate_iterative_oracle
 
+pytestmark = pytest.mark.acceptance
+
 
 def _report(tag: str, ok: bool, detail: str) -> None:
     print(f"[{tag}] {'PASS' if ok else 'FAIL'} — {detail}")
@@ -50,7 +52,7 @@ def sweep_results(tmp_path_factory):
 
 
 # ---------------------------------------------------------------------------
-# criterion 1: closed-form propagation equals the damped-iteration oracle
+# criterion 1: the propagation solve equals the damped-iteration oracle
 
 
 def test_criterion_1_propagation_oracle_equivalence():
@@ -70,7 +72,7 @@ def test_criterion_1_propagation_oracle_equivalence():
     _report(
         "criterion 1",
         ok,
-        f"max closed-vs-iterative deviation {worst:.3e} (< 1e-8) over 20 graphs "
+        f"max solver-vs-iterative deviation {worst:.3e} (< 1e-8) over 20 graphs "
         f"(n=50, k_hat=5, alpha=0.9), runtime {elapsed:.1f}s (< 10s)",
     )
     assert worst < 1e-8

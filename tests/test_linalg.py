@@ -1,8 +1,9 @@
 """Tests for the deterministic linear-algebra kernels.
 
 Oracles used here are independent of the implementation: an explicit
-triple-loop product, numpy's LAPACK-backed ``np.linalg.solve``, and exact
-fraction arithmetic for small frozen systems.
+triple-loop product, numpy's LAPACK-backed ``np.linalg.solve``, exact
+fraction arithmetic for small frozen systems, and the dense elimination
+``solve_linear`` for the sparse conjugate-gradient solver.
 """
 
 import numpy as np
@@ -13,12 +14,14 @@ from hypothesis.extra.numpy import arrays
 
 from meshadapt import linalg
 from meshadapt.linalg import (
+    ConvergenceError,
     SingularMatrixError,
     cosine_similarity_matrix,
     matmul,
     require_matrix,
     row_softmax,
     solve_linear,
+    sparse_cg_solve,
     symmetric_normalize,
     topk_sparsify_rows,
 )
@@ -313,3 +316,67 @@ class TestSolveLinear:
         a = np.eye(10) - 0.9 * w_norm
         z = solve_linear(a, y)
         assert np.allclose(z, np.linalg.solve(a, y), atol=1e-10)
+
+
+def damped_system(seed, alpha, n=30, density=0.2):
+    """A propagation-shaped ``I - alpha * W_norm`` on a random sparse graph."""
+    rng = np.random.default_rng(seed)
+    raw = rng.uniform(0, 1, size=(n, n)) * (rng.uniform(size=(n, n)) < density)
+    w = np.triu(raw, k=1)
+    w_norm = symmetric_normalize(w + w.T)
+    return np.eye(n) - alpha * w_norm
+
+
+def solve_dense_as_sparse(a, b, rtol=1e-14, max_iter=1000):
+    rows, cols = np.nonzero(a)
+    return sparse_cg_solve(rows, cols, a[rows, cols], b, rtol, max_iter)
+
+
+class TestSparseCgSolve:
+    @pytest.mark.parametrize("alpha", [0.1, 0.5, 0.9, 0.99])
+    def test_matches_dense_oracle(self, alpha):
+        for seed in range(3):
+            a = damped_system(seed, alpha)
+            b = np.random.default_rng(100 + seed).uniform(0, 1, size=(30, 3))
+            x = solve_dense_as_sparse(a, b)
+            assert float(np.abs(x - solve_linear(a, b)).max()) <= 1e-12
+
+    def test_zero_column_solved_at_step_zero(self):
+        a = damped_system(0, 0.9)
+        b = np.zeros((30, 2))
+        b[0, 0] = 1.0
+        rows, cols = np.nonzero(a)
+        with np.errstate(all="raise"):
+            x = sparse_cg_solve(rows, cols, a[rows, cols], b, 1e-14, 1000)
+            assert np.array_equal(x[:, 1], np.zeros(30))
+            # with no iterations allowed only the zero column converges
+            with pytest.raises(ConvergenceError, match="column 0"):
+                sparse_cg_solve(rows, cols, a[rows, cols], b, 1e-14, 0)
+            zero = sparse_cg_solve(rows, cols, a[rows, cols], b[:, 1:], 1e-14, 0)
+        assert np.array_equal(zero, np.zeros((30, 1)))
+
+    def test_budget_exhausted_names_iterations_and_residual(self):
+        a = damped_system(1, 0.9)
+        b = np.ones((30, 1))
+        with pytest.raises(ConvergenceError, match=r"residual \S+ still above \S+ after 3 iterations"):
+            solve_dense_as_sparse(a, b, max_iter=3)
+
+    def test_indefinite_matrix_rejected(self):
+        a = -np.eye(4)
+        with pytest.raises(ConvergenceError, match="not positive definite"):
+            solve_dense_as_sparse(a, np.ones((4, 1)))
+
+    def test_bitwise_repeatable_and_inputs_not_mutated(self):
+        a = damped_system(2, 0.9)
+        b = np.random.default_rng(3).uniform(size=(30, 4))
+        b0 = b.copy()
+        first = solve_dense_as_sparse(a, b)
+        assert np.array_equal(first, solve_dense_as_sparse(a, b))
+        assert np.array_equal(b, b0)
+
+    def test_frozen_two_by_two(self):
+        # same hand-solved system as the dense solver: x = (100/19, 90/19)
+        a = np.array([[1.0, -0.9], [-0.9, 1.0]])
+        x = solve_dense_as_sparse(a, np.array([[1.0], [0.0]]))
+        assert x[0, 0] == pytest.approx(100.0 / 19.0, abs=1e-12)
+        assert x[1, 0] == pytest.approx(90.0 / 19.0, abs=1e-12)

@@ -295,6 +295,24 @@ class TestCheckpointRoundTrip:
         with pytest.raises(ValueError):
             load_model(path)
 
+    def _edited_checkpoint(self, tmp_path, line_index, text):
+        path = tmp_path / "model.txt"
+        save_model(init_model([3, 6, 4, 2], seed=29), path)
+        lines = path.read_text().split("\n")
+        lines[line_index] = text
+        path.write_text("\n".join(lines))
+        return path
+
+    def test_unknown_activation_rejected(self, tmp_path):
+        path = self._edited_checkpoint(tmp_path, 1, "activation sigmoid")
+        with pytest.raises(ValueError, match=r"model\.txt: unknown activation 'sigmoid' on line 2"):
+            load_model(path)
+
+    def test_unknown_frozen_group_rejected(self, tmp_path):
+        path = self._edited_checkpoint(tmp_path, 2, "frozen classifier,head")
+        with pytest.raises(ValueError, match=r"model\.txt: unknown frozen group 'head' on line 3"):
+            load_model(path)
+
     def test_missing_file_errors(self, tmp_path):
         with pytest.raises(OSError):
             load_model(tmp_path / "absent.txt")

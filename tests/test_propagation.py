@@ -1,16 +1,21 @@
 """Tests for graph construction and label propagation.
 
-Two independent oracles check the solver path: the damped fixed-point
-iteration (Neumann series, converges geometrically) and a hand-solved
-two-node system. Graph-construction invariants are exercised directly on
+Three independent oracles check the conjugate-gradient solver path: the
+damped fixed-point iteration (Neumann series, converges geometrically),
+the dense elimination ``linalg.solve_linear``, and a hand-solved two-node
+system. Graph-construction invariants are exercised directly on
 the returned weight matrix.
 """
+
+import math
 
 import numpy as np
 import pytest
 
+from meshadapt import linalg, propagation
 from meshadapt.propagation import (
     GraphLayout,
+    PropagationError,
     PropagationGraph,
     build_graph,
     dump_graph_debug,
@@ -115,12 +120,44 @@ class TestPropagate:
         assert result.confidence[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_matches_neumann_oracle(self):
-        for seed in range(5):
-            graph = random_graph(seed, n=25, k_hat=4)
-            closed = propagate(graph, alpha=0.9).scores
-            # alpha^k < 1e-10 needs k > 10 / -log10(0.9) ~ 219 iterations
-            iterative = propagate_iterative_oracle(graph, alpha=0.9, iters=400)
-            assert float(np.abs(closed - iterative).max()) < 1e-8
+        # the dense elimination is a second oracle; both agree to 1e-12 from
+        # weak to strong damping
+        for alpha in (0.1, 0.5, 0.9, 0.99):
+            # alpha^k * max|Z| < 1e-14 with max|Z| <= 1 / (1 - alpha)
+            iters = math.ceil(math.log(1e-14 * (1.0 - alpha)) / math.log(alpha))
+            for seed in range(5):
+                graph = random_graph(seed, n=25, k_hat=4)
+                scores = propagate(graph, alpha=alpha).scores
+                iterative = propagate_iterative_oracle(graph, alpha=alpha, iters=iters)
+                n = graph.w_norm.shape[0]
+                dense = linalg.solve_linear(np.eye(n) - alpha * graph.w_norm, graph.seed_labels)
+                assert float(np.abs(scores - iterative).max()) <= 1e-12
+                assert float(np.abs(scores - dense).max()) <= 1e-12
+
+    def test_repeat_calls_bitwise_equal(self):
+        graph = random_graph(14, n=40, k_hat=4)
+        first = propagate(graph, alpha=0.9)
+        second = propagate(graph, alpha=0.9)
+        assert np.array_equal(first.scores, second.scores)
+        assert np.array_equal(first.confidence, second.confidence)
+
+    def test_class_without_seed_gives_zero_column(self):
+        # three classes, seeds only of classes 0 and 2
+        features = np.random.default_rng(15).standard_normal((20, 3))
+        classes = np.full(20, -1)
+        classes[:4] = [0, 2, 0, 2]
+        graph = build_graph(features, classes, num_classes=3, k_hat=4)
+        with np.errstate(all="raise"):
+            result = propagate(graph, alpha=0.9)
+        assert np.array_equal(result.scores[:, 1], np.zeros(20))
+        assert np.all(result.scores[:, [0, 2]].sum(axis=1) > 0.0)
+
+    def test_budget_exhausted_raises(self, monkeypatch):
+        # the bound at alpha = 0.9 is 74 iterations; leave a budget of 4
+        monkeypatch.setattr(propagation, "CG_ITER_MARGIN", -70)
+        graph = random_graph(16, n=40, k_hat=4)
+        with pytest.raises(PropagationError, match="did not converge.*after 4 iterations"):
+            propagate(graph, alpha=0.9)
 
     def test_seed_rows_dominated_by_own_class(self):
         graph = random_graph(7, n=20, num_classes=3, n_labeled=6)
@@ -164,6 +201,7 @@ class TestPropagate:
         graph = build_graph(features, classes, num_classes=2, k_hat=1)
         result = propagate(graph, alpha=0.9)
         # nodes 3, 4 form their own component with no seed mass
+        assert np.array_equal(result.scores[3:], np.zeros((2, 2)))
         assert result.confidence[2] == 0.0
         assert result.confidence[3] == 0.0
         assert result.pseudo_labels[2] == 0
