@@ -181,25 +181,6 @@ def propagate(graph: PropagationGraph, alpha: float) -> PropagationResult:
     return PropagationResult(scores=scores, pseudo_labels=pseudo, confidence=confidence)
 
 
-def propagate_iterative_oracle(
-    graph: PropagationGraph, alpha: float, iters: int
-) -> np.ndarray:
-    """Reference scores by damped fixed-point iteration Z <- alpha*W*Z + Y.
-
-    Kept deliberately independent of the solver path (dense products
-    instead of sparse conjugate gradient) so the two can cross-check each
-    other. Convergence is geometric at rate ``alpha``.
-    """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
-    if iters < 0:
-        raise ValueError(f"iters must be >= 0, got {iters}")
-    scores = graph.seed_labels.copy()
-    for _ in range(iters):
-        scores = alpha * linalg.matmul(graph.w_norm, scores) + graph.seed_labels
-    return scores
-
-
 def dump_graph_debug(
     graph: PropagationGraph, result: PropagationResult, edges_path, scores_path
 ) -> None:

@@ -14,7 +14,8 @@ import numpy as np
 import pytest
 
 from meshadapt import cli, data, experiments, linalg, losses, model, trainer
-from meshadapt.propagation import build_graph, propagate, propagate_iterative_oracle
+from meshadapt.propagation import build_graph, propagate
+from test_propagation import propagate_iterative_oracle
 
 pytestmark = pytest.mark.acceptance
 

@@ -1,9 +1,11 @@
 """Tests for the deterministic linear-algebra kernels.
 
 Oracles used here are independent of the implementation: an explicit
-triple-loop product, numpy's LAPACK-backed ``np.linalg.solve``, exact
-fraction arithmetic for small frozen systems, and the dense elimination
-``solve_linear`` for the sparse conjugate-gradient solver.
+triple-loop product, a stable-sort top-k selection, numpy's LAPACK-backed
+``np.linalg.solve``, exact fraction arithmetic for small frozen systems,
+and the dense elimination ``solve_linear`` for the sparse
+conjugate-gradient solver. Kernels promise bit-identical results, so their
+oracle comparisons are on bytes (``tobytes``), which tells -0.0 from 0.0.
 """
 
 import numpy as np
@@ -14,6 +16,7 @@ from hypothesis.extra.numpy import arrays
 
 from meshadapt import linalg
 from meshadapt.linalg import (
+    MATMUL_REDUCE_MAX_ELEMENTS,
     ConvergenceError,
     SingularMatrixError,
     cosine_similarity_matrix,
@@ -28,30 +31,75 @@ from meshadapt.linalg import (
 
 
 def triple_loop_matmul(a, b):
-    """Naive reference product, summing over the inner index k outermost."""
+    """Naive reference product, summing over the inner index k outermost.
+
+    Runs on Python floats (IEEE doubles, so the same roundings and signed
+    zeros as float64) to keep large oracle shapes fast.
+    """
     n, inner = a.shape
     inner2, m = b.shape
     assert inner == inner2
-    out = np.zeros((n, m))
+    a, b = a.tolist(), b.tolist()
+    out = [[0.0] * m for _ in range(n)]
     for k in range(inner):
+        b_row = b[k]
         for i in range(n):
+            a_ik = a[i][k]
+            out_row = out[i]
             for j in range(m):
-                out[i, j] += a[i, k] * b[k, j]
+                out_row[j] += a_ik * b_row[j]
+    return np.array(out).reshape(n, m)
+
+
+def stable_sort_topk(w, k):
+    """Reference top-k: keep the first k columns of a stable sort of -w."""
+    order = np.argsort(-w, axis=1, kind="stable")
+    keep = order[:, :k]
+    out = np.zeros_like(w)
+    row_index = np.arange(w.shape[0])[:, None]
+    out[row_index, keep] = w[row_index, keep]
     return out
 
 
-small_floats = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False)
+def assert_same_bits(actual, expected):
+    assert actual.shape == expected.shape
+    assert actual.tobytes() == expected.tobytes()
 
 
-def matrix_strategy(max_side=5):
-    return st.tuples(
-        st.integers(1, max_side), st.integers(1, max_side), st.integers(1, max_side)
-    ).flatmap(
-        lambda dims: st.tuples(
-            arrays(np.float64, (dims[0], dims[1]), elements=small_floats),
-            arrays(np.float64, (dims[1], dims[2]), elements=small_floats),
-        )
-    )
+LAYOUTS = ("C", "F", "strided")
+
+
+def with_layout(x, layout):
+    """``x``'s values in C order, in Fortran order (a ``.T`` view, as the
+    backward pass passes its factors) or as a strided column slice."""
+    if layout == "F":
+        return np.ascontiguousarray(x.T).T
+    if layout == "strided":
+        wide = np.zeros((x.shape[0], 2 * x.shape[1]))
+        wide[:, ::2] = x
+        return wide[:, ::2]
+    return np.ascontiguousarray(x)
+
+
+def random_factor(rng, shape, zero_fraction):
+    x = rng.standard_normal(shape) * 10.0 ** rng.uniform(-3, 3, size=shape)
+    zeros = rng.uniform(size=shape) < zero_fraction
+    x[zeros] = np.where(rng.uniform(size=shape) < 0.5, -0.0, 0.0)[zeros]
+    return x
+
+
+@st.composite
+def matrix_pairs(draw):
+    """Factor pairs reaching k > 8, m = 1, n = 1, every layout, and shapes on
+    both sides of ``MATMUL_REDUCE_MAX_ELEMENTS`` (48 * 64 * 48 is above it)."""
+    m = draw(st.one_of(st.just(1), st.integers(2, 48)))
+    k = draw(st.one_of(st.integers(1, 8), st.integers(9, 64)))
+    n = draw(st.one_of(st.just(1), st.integers(2, 48)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    zero_fraction = draw(st.sampled_from([0.0, 0.3, 0.9, 1.0]))
+    a = with_layout(random_factor(rng, (m, k), zero_fraction), draw(st.sampled_from(LAYOUTS)))
+    b = with_layout(random_factor(rng, (k, n), zero_fraction), draw(st.sampled_from(LAYOUTS)))
+    return a, b
 
 
 class TestRequireMatrix:
@@ -79,7 +127,7 @@ class TestMatmul:
         for _ in range(5):
             a = rng.standard_normal((4, 6))
             b = rng.standard_normal((6, 3))
-            assert np.array_equal(matmul(a, b), triple_loop_matmul(a, b))
+            assert_same_bits(matmul(a, b), triple_loop_matmul(a, b))
 
     def test_matches_numpy_dot_closely(self):
         rng = np.random.default_rng(11)
@@ -96,10 +144,53 @@ class TestMatmul:
         with pytest.raises(ValueError, match="shape mismatch"):
             matmul(np.zeros((2, 3)), np.zeros((2, 3)))
 
-    @given(matrix_strategy())
+    @pytest.mark.parametrize(
+        "shape",
+        [
+            # a single output column or row, where a NumPy reduce over k
+            # would sum pairwise once k > 8
+            (64, 10, 1),
+            (128, 300, 1),
+            (5, 200, 1),
+            (1, 10, 32),
+            (1, 200, 5),
+            # model shapes: backward weight gradients (k = batch rows), then
+            # forward passes on either side of the cap
+            (10, 64, 32),
+            (8, 64, 4),
+            (64, 32, 10),
+            (196, 32, 8),
+            # exactly at the element cap, one past it, and well past it
+            (2, MATMUL_REDUCE_MAX_ELEMENTS // 4, 2),
+            (2, MATMUL_REDUCE_MAX_ELEMENTS // 4 + 1, 2),
+            (41, 41, 41),
+            (300, 10, 32),
+        ],
+    )
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_matches_triple_loop_at_guard_shapes(self, shape, layout):
+        m, k, n = shape
+        rng = np.random.default_rng(m * 10_000 + k * 100 + n)
+        a = with_layout(random_factor(rng, (m, k), 0.2), layout)
+        b = with_layout(random_factor(rng, (k, n), 0.2), layout)
+        assert_same_bits(matmul(a, b), triple_loop_matmul(a, b))
+
+    @pytest.mark.parametrize("shape", [(3, 12, 4), (3, 12, 1), (1, 12, 4), (2, 1, 2)])
+    def test_signed_zero_products_sum_to_positive_zero(self, shape):
+        # every product is -0.0; the triple loop starts each entry at +0.0,
+        # and +0.0 + -0.0 = +0.0, so neither path may return -0.0
+        m, k, n = shape
+        a = np.full((m, k), -0.0)
+        b = np.ones((k, n))
+        expected = triple_loop_matmul(a, b)
+        assert not np.any(np.signbit(expected))
+        assert_same_bits(matmul(a, b), expected)
+        assert_same_bits(matmul(b.T, a.T), triple_loop_matmul(b.T, a.T))
+
+    @given(matrix_pairs())
     def test_property_matches_triple_loop(self, pair):
         a, b = pair
-        assert np.array_equal(matmul(a, b), triple_loop_matmul(a, b))
+        assert_same_bits(matmul(a, b), triple_loop_matmul(a, b))
 
 
 class TestRowSoftmax:
@@ -207,6 +298,49 @@ class TestTopkSparsify:
         # at most k entries survive (exact zeros in w may make it fewer)
         assert np.all((out != 0).sum(axis=1) <= k)
         assert np.all(out >= 0)
+
+    def test_crowded_ties_keep_lowest_indices(self):
+        # row 0: four ties for two slots; row 1: one clear winner, then four
+        # ties for the last slot; row 2: ties exactly fill the free slots
+        w = np.array(
+            [
+                [1.0, 1.0, 1.0, 1.0, 0.0],
+                [1.0, 1.0, 1.0, 1.0, 2.0],
+                [1.0, 0.0, 0.0, 0.0, 1.0],
+            ]
+        )
+        expected = np.array(
+            [
+                [1.0, 1.0, 0.0, 0.0, 0.0],
+                [1.0, 0.0, 0.0, 0.0, 2.0],
+                [1.0, 0.0, 0.0, 0.0, 1.0],
+            ]
+        )
+        assert_same_bits(topk_sparsify_rows(w, 2), expected)
+        assert_same_bits(topk_sparsify_rows(w, 3), stable_sort_topk(w, 3))
+
+    def test_signed_zeros_tie_and_keep_their_sign(self):
+        # -0.0 == 0.0, so the lowest index wins and its -0.0 is kept as is
+        w = np.array([[-0.0, -1.0, 0.0], [0.0, -1.0, -0.0]])
+        out = topk_sparsify_rows(w, 1)
+        assert_same_bits(out, np.array([[-0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]))
+        assert_same_bits(out, stable_sort_topk(w, 1))
+
+    @given(
+        arrays(
+            np.float64,
+            st.tuples(st.integers(1, 6), st.integers(2, 12)),
+            elements=st.one_of(
+                st.sampled_from([-1.0, -0.0, 0.0, 0.5, 1.0, 2.0]),
+                st.floats(min_value=-10, max_value=10, allow_nan=False),
+            ),
+        ),
+        st.integers(1, 11),
+    )
+    def test_property_matches_stable_sort_bitwise(self, w, k):
+        k = min(k, w.shape[1] - 1)
+        assert_same_bits(topk_sparsify_rows(w, k), stable_sort_topk(w, k))
+        assert_same_bits(topk_sparsify_rows(np.asfortranarray(w), k), stable_sort_topk(w, k))
 
 
 class TestSymmetricNormalize:

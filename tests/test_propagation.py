@@ -1,10 +1,11 @@
 """Tests for graph construction and label propagation.
 
 Three independent oracles check the conjugate-gradient solver path: the
-damped fixed-point iteration (Neumann series, converges geometrically),
-the dense elimination ``linalg.solve_linear``, and a hand-solved two-node
-system. Graph-construction invariants are exercised directly on
-the returned weight matrix.
+damped fixed-point iteration ``propagate_iterative_oracle`` defined here
+(Neumann series, converges geometrically), the dense elimination
+``linalg.solve_linear``, and a hand-solved two-node system.
+Graph-construction invariants are exercised directly on the returned
+weight matrix.
 """
 
 import math
@@ -20,8 +21,26 @@ from meshadapt.propagation import (
     build_graph,
     dump_graph_debug,
     propagate,
-    propagate_iterative_oracle,
 )
+
+
+def propagate_iterative_oracle(
+    graph: PropagationGraph, alpha: float, iters: int
+) -> np.ndarray:
+    """Reference scores by damped fixed-point iteration Z <- alpha*W*Z + Y.
+
+    Kept deliberately independent of the solver path (dense products
+    instead of sparse conjugate gradient) so the two can cross-check each
+    other. Convergence is geometric at rate ``alpha``.
+    """
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+    if iters < 0:
+        raise ValueError(f"iters must be >= 0, got {iters}")
+    scores = graph.seed_labels.copy()
+    for _ in range(iters):
+        scores = alpha * linalg.matmul(graph.w_norm, scores) + graph.seed_labels
+    return scores
 
 
 def random_graph(seed, n=30, num_classes=3, k_hat=5, n_labeled=6):
