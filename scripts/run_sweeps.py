@@ -48,9 +48,8 @@ def main(argv=None) -> int:
 
     params = list(DEFAULT_GRIDS) if args.param == "all" else [args.param]
     for param in params:
-        conv = int if param in ("k_hat", "shots") else float
         if args.values is not None:
-            values = [conv(tok) for tok in args.values.replace(",", " ").split()]
+            values = args.values.replace(",", " ").split()
         else:
             values = DEFAULT_GRIDS[param]
         start = time.time()

@@ -1,10 +1,12 @@
 """Command line front end.
 
-Subcommands: gen-data, pretrain, adapt, eval, experiment, sweep. Every
-numeric field of :class:`trainer.AdaptConfig` is exposed as a kebab-case
-flag, and a flat ``key=value`` config file can preload any of them (explicit
-flags win). Commands exit 0 on success and 1 with a single ``error:`` line
-on stderr otherwise.
+Subcommands: gen-data, pretrain, adapt, eval, experiment, sweep. The flags
+are built from the fields of :class:`trainer.AdaptConfig` and
+:class:`experiments.SyntheticTask` (kebab-case name, parser from the type
+annotation, help from the field metadata). A flat ``key=value`` config file
+can preload any of those fields plus ``method`` and ``seeds``; explicit flags
+win. Commands exit 0 on success and 1 with a single ``error:`` line on stderr
+otherwise.
 """
 
 from __future__ import annotations
@@ -13,6 +15,8 @@ import argparse
 import sys
 from dataclasses import fields, replace
 from pathlib import Path
+from types import UnionType
+from typing import get_args, get_type_hints
 
 from . import data, experiments, model, trainer
 
@@ -26,87 +30,69 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
-def _parse_hidden_dims(text: str) -> tuple[int, ...]:
+def _parse_int_list(text: str) -> tuple[int, ...]:
     return tuple(int(tok) for tok in text.replace(",", " ").split())
 
 
-def _parse_seeds(text: str) -> tuple[int, ...]:
-    return tuple(int(tok) for tok in text.replace(",", " ").split())
+def _optional(parse):
+    """Wrap ``parse`` so that an empty value or ``none`` reads as None."""
+
+    def parse_optional(text: str):
+        return None if text.strip().lower() in ("", "none") else parse(text)
+
+    parse_optional.__name__ = f"optional {parse.__name__}"  # argparse errors name it
+    return parse_optional
 
 
-def _parse_optional_int(text: str):
-    return None if text.strip().lower() in ("", "none") else int(text)
+_PARSERS = {bool: _parse_bool, int: int, float: float, tuple[int, ...]: _parse_int_list}
 
 
-def _parse_optional_float(text: str):
-    return None if text.strip().lower() in ("", "none") else float(text)
+def _field_parsers(cls) -> dict:
+    """Text parser of every field of a dataclass, chosen by its annotation."""
+    parsers = {}
+    for name, hint in get_type_hints(cls).items():
+        if isinstance(hint, UnionType):  # ``T | None``
+            (base,) = (arg for arg in get_args(hint) if arg is not type(None))
+            parsers[name] = _optional(_PARSERS[base])
+        else:
+            parsers[name] = _PARSERS[hint]
+    return parsers
 
 
-# field name -> (converter, help)
-_CONFIG_FIELDS: dict[str, tuple] = {
-    "lambda0": (float, "weight of the pseudo-label loss"),
-    "alpha": (float, "propagation damping in (0, 1)"),
-    "k_hat": (int, "neighbours kept per graph row"),
-    "eps_smooth": (float, "label smoothing amount for pretraining"),
-    "eps_vat": (float, "L2 radius of the adversarial perturbation"),
-    "vat_xi": (_parse_optional_float, "probe scale for power iteration"),
-    "vat_power_iters": (int, "power iteration rounds"),
-    "lr_encoder": (float, "encoder learning rate"),
-    "lr_bottleneck": (float, "bottleneck learning rate"),
-    "lr_classifier": (float, "classifier learning rate (pretraining)"),
-    "momentum": (float, "SGD momentum"),
-    "batch_size": (int, "minibatch size"),
-    "epochs": (int, "adaptation epochs"),
-    "pretrain_epochs": (int, "source pretraining epochs"),
-    "steps_per_epoch": (_parse_optional_int, "steps per epoch (default: one unlabeled pass)"),
-    "mc_passes": (int, "stochastic passes for uncertainty"),
-    "dropout_rate": (float, "dropout rate for stochastic passes"),
-    "hidden_dims": (_parse_hidden_dims, "comma-separated encoder widths"),
-    "bottleneck_dim": (int, "bottleneck width"),
-    "seed": (int, "run seed"),
-}
-_FLAG_FIELDS: dict[str, str] = {
-    "no_augmentation": "disable uncertainty-selected extra seeds",
-    "no_ent": "disable the entropy term",
-    "no_ps": "disable pseudo-label propagation",
-    "no_vat": "disable adversarial smoothing",
-    "no_div": "disable the diversity term",
+_CONFIG_PARSERS = _field_parsers(trainer.AdaptConfig)
+_TASK_PARSERS = _field_parsers(experiments.SyntheticTask)
+# Keys a config file may set: both dataclasses plus the experiment selectors.
+_FILE_PARSERS = {
+    **_CONFIG_PARSERS,
+    **_TASK_PARSERS,
+    "method": experiments.canonical_method,
+    "seeds": _parse_int_list,
 }
 
-_TASK_FIELDS: dict[str, tuple] = {
-    "num_classes": (int, "number of classes"),
-    "lift_dim": (int, "ambient feature dimension"),
-    "n_source": (int, "source sample count"),
-    "m_target": (int, "target sample count"),
-    "rotation_deg": (float, "target rotation in degrees"),
-    "translation": (float, "target translation magnitude"),
-    "noise_std": (float, "blob noise standard deviation"),
-    "shots": (int, "labeled target samples per class"),
-}
+
+def _add_field_flags(parser: argparse.ArgumentParser, cls, title: str) -> None:
+    group = parser.add_argument_group(title)
+    for f in fields(cls):
+        parse = _FILE_PARSERS[f.name]
+        kind = {"action": "store_true"} if parse is _parse_bool else {"type": parse}
+        group.add_argument(f"--{f.name.replace('_', '-')}", dest=f.name, default=None,
+                           help=f.metadata["help"], **kind)
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
-    group = parser.add_argument_group("training configuration")
-    for name, (conv, help_text) in _CONFIG_FIELDS.items():
-        group.add_argument(f"--{name.replace('_', '-')}", dest=name, type=conv,
-                           default=None, help=help_text)
-    for name, help_text in _FLAG_FIELDS.items():
-        group.add_argument(f"--{name.replace('_', '-')}", dest=name,
-                           action="store_true", default=None, help=help_text)
+    _add_field_flags(parser, trainer.AdaptConfig, "training configuration")
     parser.add_argument("--config", type=Path, default=None,
                         help="flat key=value file with any of the above fields")
 
 
-def _add_task_flags(parser: argparse.ArgumentParser) -> None:
-    group = parser.add_argument_group("synthetic task")
-    for name, (conv, help_text) in _TASK_FIELDS.items():
-        group.add_argument(f"--{name.replace('_', '-')}", dest=name, type=conv,
-                           default=None, help=help_text)
+def read_config_file(path) -> dict:
+    """Parse a flat key=value file into typed values, ignoring blanks and # comments.
 
-
-def read_config_file(path) -> dict[str, str]:
-    """Parse a flat key=value file, ignoring blanks and # comments."""
-    out: dict[str, str] = {}
+    Keys are ``AdaptConfig`` and ``SyntheticTask`` fields plus ``method`` and
+    ``seeds``. A malformed line, an unknown key, or a value the key's parser
+    rejects raises ``ValueError`` naming the file, the line, and the key.
+    """
+    out: dict = {}
     with open(path, "r", encoding="utf-8") as handle:
         for line_no, raw in enumerate(handle, start=1):
             line = raw.strip()
@@ -114,56 +100,38 @@ def read_config_file(path) -> dict[str, str]:
                 continue
             if "=" not in line:
                 raise ValueError(f"{path}: line {line_no}: expected key=value")
-            key, value = line.split("=", 1)
-            out[key.strip()] = value.strip()
+            key, value = (part.strip() for part in line.split("=", 1))
+            if key not in _FILE_PARSERS:
+                raise ValueError(f"{path}: line {line_no}: unknown key {key!r}")
+            try:
+                out[key] = _FILE_PARSERS[key](value)
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {line_no}: bad value for {key!r}: {exc}") from exc
     return out
 
 
-def _build_config(args: argparse.Namespace) -> trainer.AdaptConfig:
-    values: dict = {}
-    if getattr(args, "config", None) is not None:
-        raw = read_config_file(args.config)
-        for key, text in raw.items():
-            if key in _CONFIG_FIELDS:
-                values[key] = _CONFIG_FIELDS[key][0](text)
-            elif key in _FLAG_FIELDS:
-                values[key] = _parse_bool(text)
-            # task/selector keys are picked up by _build_task / callers
-    for name in list(_CONFIG_FIELDS) + list(_FLAG_FIELDS):
-        given = getattr(args, name, None)
+def _resolve(
+    args: argparse.Namespace,
+) -> tuple[trainer.AdaptConfig, experiments.SyntheticTask, dict]:
+    """Config, task and selectors from the --config file (read once) and the flags.
+
+    Flags win over the file. The selectors dict holds ``method`` and
+    ``seeds`` only when one of the two sources set them.
+    """
+    config_file = getattr(args, "config", None)
+    values = read_config_file(config_file) if config_file is not None else {}
+    for key in _FILE_PARSERS:
+        given = getattr(args, key, None)
         if given is not None:
-            values[name] = given
-    return trainer.AdaptConfig(**values)
-
-
-def _build_task(args: argparse.Namespace) -> experiments.SyntheticTask:
-    values: dict = {}
-    if getattr(args, "config", None) is not None:
-        raw = read_config_file(args.config)
-        for key, text in raw.items():
-            if key in _TASK_FIELDS:
-                values[key] = _TASK_FIELDS[key][0](text)
-    for name in _TASK_FIELDS:
-        given = getattr(args, name, None)
-        if given is not None:
-            values[name] = given
-    return experiments.SyntheticTask(**values)
-
-
-def _config_file_fallback(args: argparse.Namespace, key: str, conv):
-    """Selector fields (method, seeds) may also come from the config file."""
-    if getattr(args, key, None) is not None:
-        return conv(getattr(args, key)) if isinstance(getattr(args, key), str) else getattr(args, key)
-    if getattr(args, "config", None) is not None:
-        raw = read_config_file(args.config)
-        if key in raw:
-            return conv(raw[key])
-    return None
+            values[key] = given
+    cfg = trainer.AdaptConfig(**{k: values[k] for k in _CONFIG_PARSERS if k in values})
+    task = experiments.SyntheticTask(**{k: values[k] for k in _TASK_PARSERS if k in values})
+    selectors = {k: values[k] for k in ("method", "seeds") if k in values}
+    return cfg, task, selectors
 
 
 def _cmd_gen_data(args: argparse.Namespace) -> int:
-    task = _build_task(args)
-    seed = args.seed if args.seed is not None else 2021
+    cfg, task, _ = _resolve(args)  # --seed is the run seed field, 2021 by default
     source, pool = data.gen_synthetic_shift(
         num_classes=task.num_classes,
         n_source=task.n_source,
@@ -171,10 +139,10 @@ def _cmd_gen_data(args: argparse.Namespace) -> int:
         rotation_deg=task.rotation_deg,
         translation=task.translation,
         noise_std=task.noise_std,
-        seed=seed,
+        seed=cfg.seed,
         lift_dim=task.lift_dim,
     )
-    target = data.split_nshot(pool, task.shots, seed=seed) if task.shots > 0 else pool
+    target = data.split_nshot(pool, task.shots, seed=cfg.seed) if task.shots > 0 else pool
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     data.save_dataset(source, out / "source.tsv")
@@ -184,7 +152,7 @@ def _cmd_gen_data(args: argparse.Namespace) -> int:
 
 
 def _cmd_pretrain(args: argparse.Namespace) -> int:
-    cfg = _build_config(args)
+    cfg, _, _ = _resolve(args)
     source = data.load_dataset(args.source)
     dims = cfg.model_dims(source.n_features, source.num_classes)
     net = model.init_model(dims, seed=cfg.seed)
@@ -196,9 +164,9 @@ def _cmd_pretrain(args: argparse.Namespace) -> int:
 
 
 def _cmd_adapt(args: argparse.Namespace) -> int:
-    cfg = _build_config(args)
-    if args.method is not None:
-        cfg = experiments.apply_method(cfg, args.method)
+    cfg, _, selectors = _resolve(args)
+    if "method" in selectors:
+        cfg = experiments.apply_method(cfg, selectors["method"])
     net = model.load_model(args.model)
     target = data.load_dataset(args.target)
     adapted, report = trainer.adapt(net, target, cfg, debug_graph_dir=args.debug_graph)
@@ -219,16 +187,11 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _make_spec(args: argparse.Namespace) -> experiments.ExperimentSpec:
-    cfg = _build_config(args)
-    method = _config_file_fallback(args, "method", str) or "MESH"
-    seeds = _config_file_fallback(args, "seeds", _parse_seeds) or (2021, 2022, 2023)
-    if args.source is not None or args.target is not None:
-        return experiments.ExperimentSpec(
-            method=method, config=cfg, seeds=seeds, out_path=args.out,
-            task=None, source_path=args.source, target_path=args.target,
-        )
+    cfg, task, selectors = _resolve(args)
+    file_mode = args.source is not None or args.target is not None
     return experiments.ExperimentSpec(
-        method=method, config=cfg, seeds=seeds, out_path=args.out, task=_build_task(args)
+        config=cfg, out_path=args.out, task=None if file_mode else task,
+        source_path=args.source, target_path=args.target, **selectors,
     )
 
 
@@ -244,15 +207,13 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    spec = _make_spec(args)
-    spec = replace(spec, out_path=None)
-    param = args.param.replace("-", "_")
-    conv = int if param in ("k_hat", "shots") else float
-    values = [conv(tok) for tok in args.values.replace(",", " ").split()]
-    rows = experiments.run_sweep(spec, param, values, args.out)
+    spec = replace(_make_spec(args), out_path=None)
+    values = args.values.replace(",", " ").split()
+    rows = experiments.run_sweep(spec, args.param, values, args.out)
     for value, result in rows:
-        print(f"{param}={value}: mean {result.mean_accuracy:.4f} std {result.std_accuracy:.4f}")
-    print(f"wrote {Path(args.out) / f'sweep_{param}.txt'}")
+        print(f"{args.param}={value}: mean {result.mean_accuracy:.4f} "
+              f"std {result.std_accuracy:.4f}")
+    print(f"wrote {Path(args.out) / f'sweep_{args.param}.txt'}")
     return 0
 
 
@@ -264,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-data", help="generate a source/target dataset pair")
-    _add_task_flags(p)
+    _add_field_flags(p, experiments.SyntheticTask, "synthetic task")
     p.add_argument("--seed", type=int, default=None, help="generation seed")
     p.add_argument("--config", type=Path, default=None)
     p.add_argument("--out", required=True, help="output directory")
@@ -301,9 +262,9 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(name, help=help_text)
         _add_config_flags(p)
-        _add_task_flags(p)
+        _add_field_flags(p, experiments.SyntheticTask, "synthetic task")
         p.add_argument("--method", default=None, choices=experiments.METHODS)
-        p.add_argument("--seeds", type=_parse_seeds, default=None,
+        p.add_argument("--seeds", type=_parse_int_list, default=None,
                        help="comma-separated run seeds")
         p.add_argument("--source", default=None, help="source dataset file (file mode)")
         p.add_argument("--target", default=None, help="split target dataset file (file mode)")
@@ -311,8 +272,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--out", default=None, help="report file to write")
             p.set_defaults(func=_cmd_experiment)
         else:
-            p.add_argument("--param", required=True,
-                           choices=["lambda0", "k-hat", "k_hat", "shots"])
+            p.add_argument("--param", required=True, choices=experiments.SWEEPABLE,
+                           type=lambda text: text.replace("-", "_"))
             p.add_argument("--values", required=True,
                            help="comma-separated sweep values")
             p.add_argument("--out", required=True, help="directory for reports")

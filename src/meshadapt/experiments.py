@@ -17,8 +17,9 @@ timestamps, so identical specs produce byte-identical files.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -55,14 +56,14 @@ def apply_method(cfg: trainer.AdaptConfig, method: str) -> trainer.AdaptConfig:
 class SyntheticTask:
     """Generation parameters for the shifted-blobs benchmark."""
 
-    num_classes: int = 4
-    lift_dim: int = 10
-    n_source: int = 800
-    m_target: int = 800
-    rotation_deg: float = 50.0
-    translation: float = 0.0
-    noise_std: float = 0.35
-    shots: int = 3
+    num_classes: int = field(default=4, metadata={"help": "number of classes"})
+    lift_dim: int = field(default=10, metadata={"help": "ambient feature dimension"})
+    n_source: int = field(default=800, metadata={"help": "source sample count"})
+    m_target: int = field(default=800, metadata={"help": "target sample count"})
+    rotation_deg: float = field(default=50.0, metadata={"help": "target rotation in degrees"})
+    translation: float = field(default=0.0, metadata={"help": "target translation magnitude"})
+    noise_std: float = field(default=0.35, metadata={"help": "blob noise standard deviation"})
+    shots: int = field(default=3, metadata={"help": "labeled target samples per class"})
 
     def describe(self) -> str:
         parts = [f"{f.name}={getattr(self, f.name)!r}" for f in fields(self)]
@@ -218,7 +219,9 @@ def run_sweep(
 ) -> list[tuple[float, ExperimentResult]]:
     """Re-run the experiment once per value of ``param``.
 
-    Writes one experiment report per point plus a summary table. Pretrained
+    ``param`` names a field of the spec's task or config, and each value
+    (a number or its text) is converted with that field's type. Writes one
+    experiment report per point plus a summary table. Pretrained
     checkpoints are shared across points because none of the sweepable
     parameters affect pretraining.
     """
@@ -226,32 +229,23 @@ def run_sweep(
         raise ValueError(f"param must be one of {SWEEPABLE}, got {param!r}")
     if not values:
         raise ValueError("values must be nonempty")
+    owner = "task" if param in get_type_hints(SyntheticTask) else "config"
+    base = getattr(base_spec, owner)
+    if base is None:
+        raise ValueError(f"{param} sweep requires a synthetic task")
+    convert = get_type_hints(type(base))[param]
+    values = [convert(value) for value in values]
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     cache: dict[int, model.ModelParams] = {}
     rows: list[tuple[float, ExperimentResult]] = []
     for value in values:
-        if param == "shots":
-            if base_spec.task is None:
-                raise ValueError("shots sweep requires a synthetic task")
-            point = replace(
-                base_spec,
-                task=replace(base_spec.task, shots=int(value)),
-                out_path=out_dir / f"shots_{int(value)}.txt",
-            )
-        elif param == "k_hat":
-            point = replace(
-                base_spec,
-                config=replace(base_spec.config, k_hat=int(value)),
-                out_path=out_dir / f"k_hat_{int(value)}.txt",
-            )
-        else:
-            point = replace(
-                base_spec,
-                config=replace(base_spec.config, lambda0=float(value)),
-                out_path=out_dir / f"lambda0_{float(value)!r}.txt",
-            )
+        point = replace(
+            base_spec,
+            out_path=out_dir / f"{param}_{value!r}.txt",
+            **{owner: replace(base, **{param: value})},
+        )
         rows.append((float(value), run_experiment(point, pretrained_cache=cache)))
 
     summary = out_dir / f"sweep_{param}.txt"

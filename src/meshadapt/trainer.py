@@ -52,31 +52,47 @@ class AdaptConfig:
     1e-6 * sqrt(input_dim).
     """
 
-    lambda0: float = 0.5
-    alpha: float = 0.9
-    k_hat: int = 10
-    eps_smooth: float = 0.1
-    eps_vat: float = 1.0
-    vat_xi: float | None = None
-    vat_power_iters: int = 1
-    lr_encoder: float = 0.001
-    lr_bottleneck: float = 0.01
-    lr_classifier: float = 0.01
-    momentum: float = 0.9
-    batch_size: int = 64
-    epochs: int = 150
-    pretrain_epochs: int = 50
-    steps_per_epoch: int | None = None
-    mc_passes: int = 10
-    dropout_rate: float = 0.5
-    hidden_dims: tuple[int, ...] = (32,)
-    bottleneck_dim: int = 8
-    seed: int = 2021
-    no_augmentation: bool = False
-    no_ent: bool = False
-    no_ps: bool = False
-    no_vat: bool = False
-    no_div: bool = False
+    lambda0: float = field(default=0.5, metadata={"help": "weight of the pseudo-label loss"})
+    alpha: float = field(default=0.9, metadata={"help": "propagation damping in (0, 1)"})
+    k_hat: int = field(default=10, metadata={"help": "neighbours kept per graph row"})
+    eps_smooth: float = field(
+        default=0.1, metadata={"help": "label smoothing amount for pretraining"}
+    )
+    eps_vat: float = field(
+        default=1.0, metadata={"help": "L2 radius of the adversarial perturbation"}
+    )
+    vat_xi: float | None = field(
+        default=None, metadata={"help": "probe scale for power iteration"}
+    )
+    vat_power_iters: int = field(default=1, metadata={"help": "power iteration rounds"})
+    lr_encoder: float = field(default=0.001, metadata={"help": "encoder learning rate"})
+    lr_bottleneck: float = field(default=0.01, metadata={"help": "bottleneck learning rate"})
+    lr_classifier: float = field(
+        default=0.01, metadata={"help": "classifier learning rate (pretraining)"}
+    )
+    momentum: float = field(default=0.9, metadata={"help": "SGD momentum"})
+    batch_size: int = field(default=64, metadata={"help": "minibatch size"})
+    epochs: int = field(default=150, metadata={"help": "adaptation epochs"})
+    pretrain_epochs: int = field(default=50, metadata={"help": "source pretraining epochs"})
+    steps_per_epoch: int | None = field(
+        default=None, metadata={"help": "steps per epoch (default: one unlabeled pass)"}
+    )
+    mc_passes: int = field(default=10, metadata={"help": "stochastic passes for uncertainty"})
+    dropout_rate: float = field(
+        default=0.5, metadata={"help": "dropout rate for stochastic passes"}
+    )
+    hidden_dims: tuple[int, ...] = field(
+        default=(32,), metadata={"help": "comma-separated encoder widths"}
+    )
+    bottleneck_dim: int = field(default=8, metadata={"help": "bottleneck width"})
+    seed: int = field(default=2021, metadata={"help": "run seed"})
+    no_augmentation: bool = field(
+        default=False, metadata={"help": "disable uncertainty-selected extra seeds"}
+    )
+    no_ent: bool = field(default=False, metadata={"help": "disable the entropy term"})
+    no_ps: bool = field(default=False, metadata={"help": "disable pseudo-label propagation"})
+    no_vat: bool = field(default=False, metadata={"help": "disable adversarial smoothing"})
+    no_div: bool = field(default=False, metadata={"help": "disable the diversity term"})
 
     def __post_init__(self) -> None:
         if self.lambda0 < 0.0:
@@ -204,13 +220,31 @@ def _zero_velocity(layers: list[model.LinearLayer]) -> list[model.LayerGrads]:
     ]
 
 
-def _add_grads(total: list[model.LayerGrads] | None, extra: list[model.LayerGrads]):
-    if total is None:
-        return [model.LayerGrads(g.weight.copy(), g.bias.copy()) for g in extra]
-    for t, g in zip(total, extra):
-        t.weight += g.weight
-        t.bias += g.bias
-    return total
+def _group(owner, name: str) -> list:
+    """One group's layers (of ModelParams) or layer gradients (of Gradients) as a list."""
+    value = getattr(owner, name)
+    return value if isinstance(value, list) else [value]
+
+
+class _MomentumSGD:
+    """Momentum SGD on every group not in ``params.frozen``, each at ``cfg.lr_<group>``."""
+
+    def __init__(self, params: model.ModelParams, cfg: AdaptConfig) -> None:
+        self._params = params
+        self._momentum = cfg.momentum
+        self._lr = {g: getattr(cfg, f"lr_{g}") for g in model.GROUPS if g not in params.frozen}
+        self._velocity = {g: _zero_velocity(_group(params, g)) for g in self._lr}
+
+    def step(self, contributions: list[model.Gradients]) -> None:
+        """Sum the gradient contributions in list order, then update each group."""
+        for g, lr in self._lr.items():
+            total = _group(contributions[0], g)
+            for extra in contributions[1:]:
+                total = [
+                    model.LayerGrads(t.weight + e.weight, t.bias + e.bias)
+                    for t, e in zip(total, _group(extra, g))
+                ]
+            _sgd_step(_group(self._params, g), total, self._velocity[g], lr, self._momentum)
 
 
 def pretrain_source(
@@ -234,11 +268,7 @@ def pretrain_source(
     params = net.copy()
     rng = np.random.default_rng(cfg.seed)
     smoothed = losses.smooth_labels(train.labels, source.num_classes, cfg.eps_smooth)
-    velocity = {
-        "encoder": _zero_velocity(params.encoder),
-        "bottleneck": _zero_velocity([params.bottleneck]),
-        "classifier": _zero_velocity([params.classifier]),
-    }
+    sgd = _MomentumSGD(params, cfg)
 
     best_acc = -1.0
     best_params = params.copy()
@@ -249,13 +279,7 @@ def pretrain_source(
             logits, cache = model.forward(params, train.features[batch])
             proba = linalg.row_softmax(logits)
             _, dlogits = losses.cross_entropy(proba, smoothed[batch])
-            grads = model.backward(params, cache, dlogits)
-            _sgd_step(params.encoder, grads.encoder, velocity["encoder"],
-                      cfg.lr_encoder, cfg.momentum)
-            _sgd_step([params.bottleneck], [grads.bottleneck], velocity["bottleneck"],
-                      cfg.lr_bottleneck, cfg.momentum)
-            _sgd_step([params.classifier], [grads.classifier], velocity["classifier"],
-                      cfg.lr_classifier, cfg.momentum)
+            sgd.step([model.backward(params, cache, dlogits)])
         acc = evaluate(params, val)
         if acc > best_acc:
             best_acc = acc
@@ -368,10 +392,7 @@ def adapt(
     labeled_cycler = _Cycler(r, rng)
     steps = cfg.steps_per_epoch or math.ceil(m / cfg.batch_size)
     vat_xi = cfg.vat_xi if cfg.vat_xi is not None else 1e-6 * np.sqrt(x_labeled.shape[1])
-    velocity = {
-        "encoder": _zero_velocity(params.encoder),
-        "bottleneck": _zero_velocity([params.bottleneck]),
-    }
+    sgd = _MomentumSGD(params, cfg)
     need_unlabeled_batch = not (cfg.no_ent and cfg.no_ps and cfg.no_div and cfg.no_vat)
     need_unlabeled_forward = not (cfg.no_ent and cfg.no_ps and cfg.no_div)
 
@@ -437,21 +458,12 @@ def adapt(
                 div_term, cfg.lambda0,
             )
 
-            grads_total_enc = None
-            grads_total_bn = None
             contributions = [(cache_l, bundle.dlogits_labeled)]
             if cache_u is not None and bundle.dlogits_unlabeled is not None:
                 contributions.append((cache_u, bundle.dlogits_unlabeled))
             if vat_result is not None:
                 contributions.append((vat_result.cache, vat_result.dlogits))
-            for cache, dlogits in contributions:
-                grads = model.backward(params, cache, dlogits)
-                grads_total_enc = _add_grads(grads_total_enc, grads.encoder)
-                grads_total_bn = _add_grads(grads_total_bn, [grads.bottleneck])
-            _sgd_step(params.encoder, grads_total_enc, velocity["encoder"],
-                      cfg.lr_encoder, cfg.momentum)
-            _sgd_step([params.bottleneck], grads_total_bn, velocity["bottleneck"],
-                      cfg.lr_bottleneck, cfg.momentum)
+            sgd.step([model.backward(params, cache, dlogits) for cache, dlogits in contributions])
 
             sums["l_lab"] += bundle.l_lab
             sums["l_ent"] += bundle.l_ent

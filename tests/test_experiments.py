@@ -6,7 +6,7 @@ runs here use a deliberately tiny task; the full-size defaults are covered
 by the acceptance suite.
 """
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -190,6 +190,9 @@ class TestRunSweep:
             run_sweep(tiny_spec(), "alpha", [0.5], tmp_path)
         with pytest.raises(ValueError, match="nonempty"):
             run_sweep(tiny_spec(), "lambda0", [], tmp_path)
+        with pytest.raises(ValueError, match="invalid literal"):
+            run_sweep(tiny_spec(), "k_hat", ["3", "x"], tmp_path / "bad")
+        assert not (tmp_path / "bad").exists()  # rejected before the first point ran
         file_spec = replace(tiny_spec(), task=None,
                             source_path="s.tsv", target_path="t.tsv")
         with pytest.raises(ValueError, match="synthetic task"):
@@ -201,7 +204,7 @@ class TestConfigFileParsing:
         path = tmp_path / "run.cfg"
         path.write_text("# comment\n\nepochs = 4\nhidden_dims=8,4\nno_vat = true\n")
         parsed = cli.read_config_file(path)
-        assert parsed == {"epochs": "4", "hidden_dims": "8,4", "no_vat": "true"}
+        assert parsed == {"epochs": 4, "hidden_dims": (8, 4), "no_vat": True}
 
     def test_bad_line_reports_number(self, tmp_path):
         path = tmp_path / "bad.cfg"
@@ -214,12 +217,67 @@ class TestConfigFileParsing:
         assert cli._parse_bool("0") is False
         with pytest.raises(ValueError, match="boolean"):
             cli._parse_bool("maybe")
-        assert cli._parse_hidden_dims("32, 16 8") == (32, 16, 8)
-        assert cli._parse_seeds("1,2 3") == (1, 2, 3)
-        assert cli._parse_optional_int("none") is None
-        assert cli._parse_optional_int("5") == 5
-        assert cli._parse_optional_float("") is None
-        assert cli._parse_optional_float("0.5") == 0.5
+        assert cli._parse_int_list("32, 16 8") == (32, 16, 8)
+        assert cli._parse_int_list("1,2 3") == (1, 2, 3)
+        assert cli._optional(int)("none") is None
+        assert cli._optional(int)("5") == 5
+        assert cli._optional(float)("") is None
+        assert cli._optional(float)("0.5") == 0.5
+
+    @pytest.mark.parametrize(
+        "line,key",
+        [("lamda0 = 0.0", "lamda0"), ("epochs = many", "epochs"),
+         ("hidden_dims = 8;4", "hidden_dims"), ("no_vat = maybe", "no_vat"),
+         ("method = FANCY", "method"), ("seeds = 1,x", "seeds")],
+    )
+    def test_malformed_file_names_file_line_and_key(self, tmp_path, capsys, line, key):
+        path = tmp_path / "bad.cfg"
+        path.write_text(f"# run\nepochs = 2\n{line}\n")
+        with pytest.raises(ValueError) as caught:
+            cli.read_config_file(path)
+        message = str(caught.value)
+        assert str(path) in message and "line 3" in message and repr(key) in message
+        rc = cli.main(["experiment", "--config", str(path)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "line 3" in err and repr(key) in err
+
+    def test_file_and_flags_resolve_alike(self, tmp_path):
+        # every field at a non-default value, covering each parser type
+        text = {
+            "lambda0": "0.25", "alpha": "0.8", "k_hat": "7", "eps_smooth": "0.2",
+            "eps_vat": "2.5", "vat_xi": "0.001", "vat_power_iters": "2",
+            "lr_encoder": "0.002", "lr_bottleneck": "0.02", "lr_classifier": "0.03",
+            "momentum": "0.5", "batch_size": "8", "epochs": "3", "pretrain_epochs": "4",
+            "steps_per_epoch": "5", "mc_passes": "3", "dropout_rate": "0.25",
+            "hidden_dims": "16,8", "bottleneck_dim": "4", "seed": "7",
+            "no_augmentation": "true", "no_ent": "yes", "no_ps": "1", "no_vat": "on",
+            "no_div": "True", "num_classes": "3", "lift_dim": "5", "n_source": "90",
+            "m_target": "70", "rotation_deg": "30", "translation": "0.5",
+            "noise_std": "0.2", "shots": "4",
+        }
+        config_fields = {f.name for f in fields(trainer.AdaptConfig)}
+        task_fields = {f.name for f in fields(SyntheticTask)}
+        assert set(text) == config_fields | task_fields
+        path = tmp_path / "all.cfg"
+        path.write_text("".join(f"{k} = {v}\n" for k, v in text.items()))
+        flags = []
+        for key, value in text.items():
+            flags.append(f"--{key.replace('_', '-')}")
+            if not key.startswith("no_"):
+                flags.append(value)
+        parser = cli.build_parser()
+        from_file = cli._resolve(parser.parse_args(["experiment", "--config", str(path)]))
+        from_flags = cli._resolve(parser.parse_args(["experiment", *flags]))
+        assert from_file == from_flags
+        cfg, task, selectors = from_file
+        assert selectors == {}
+        assert cfg.hidden_dims == (16, 8) and cfg.vat_xi == 0.001 and cfg.no_div is True
+        for name in config_fields:
+            assert getattr(cfg, name) != getattr(trainer.AdaptConfig(), name), name
+        for name in task_fields:
+            assert getattr(task, name) != getattr(SyntheticTask(), name), name
 
 
 TINY_FLAGS = [
@@ -323,6 +381,73 @@ class TestCli:
         config_line = out.read_text().splitlines()[2]
         assert "epochs=2" in config_line  # flag beat the file's epochs=5
         assert "no_ent=True" in config_line  # method came from the file
+
+    def test_adapt_method_from_config_file(self, tmp_path, capsys):
+        datadir = tmp_path / "data"
+        cli.main(["gen-data", *TINY_FLAGS, "--out", str(datadir)])
+        ckpt = tmp_path / "pre.txt"
+        cli.main(["pretrain", *TINY_CFG_FLAGS,
+                  "--source", str(datadir / "source.tsv"), "--out", str(ckpt)])
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("method = S+T\n")
+
+        def loss_columns(*extra):
+            report = tmp_path / "report.txt"
+            rc = cli.main(["adapt", *TINY_CFG_FLAGS, "--config", str(cfg_file), *extra,
+                           "--model", str(ckpt), "--target", str(datadir / "target.tsv"),
+                           "--out", str(tmp_path / "adapted.txt"), "--report", str(report)])
+            assert rc == 0
+            row = report.read_text().splitlines()[4].split("\t")
+            return [float(v) for v in row[2:6]]  # l_ent, l_ps, l_vadv, l_div
+
+        assert loss_columns() == [0.0, 0.0, 0.0, 0.0]  # S+T from the file
+        l_ent, l_ps, l_vadv, l_div = loss_columns("--method", "ENT")  # the flag wins
+        assert l_ent > 0.0 and l_ps == l_vadv == l_div == 0.0
+        capsys.readouterr()
+
+    def test_gen_data_seed_from_config_file(self, tmp_path, capsys):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("seed = 7\n")
+
+        def generate(name, *extra):
+            out = tmp_path / name
+            assert cli.main(["gen-data", *TINY_FLAGS, *extra, "--out", str(out)]) == 0
+            return (out / "source.tsv").read_bytes() + (out / "target.tsv").read_bytes()
+
+        default = generate("default")
+        assert generate("flag2021", "--seed", "2021") == default
+        seven = generate("flag7", "--seed", "7")
+        assert seven != default
+        assert generate("file7", "--config", str(cfg_file)) == seven
+        assert generate("flag_wins", "--config", str(cfg_file), "--seed", "2021") == default
+        capsys.readouterr()
+
+    def test_each_command_reads_config_file_once(self, tmp_path, capsys, monkeypatch):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(
+            "hidden_dims=6\nbottleneck_dim=3\nepochs=2\npretrain_epochs=3\n"
+            "batch_size=16\nmc_passes=2\nk_hat=4\nmethod=MESH\nseeds=2021\n"
+            "num_classes=2\nlift_dim=3\nn_source=40\nm_target=60\n"
+            "rotation_deg=40\nnoise_std=0.3\nshots=2\nseed=2021\n"
+        )
+        reads = []
+        real_read = cli.read_config_file
+        monkeypatch.setattr(cli, "read_config_file",
+                            lambda path: reads.append(path) or real_read(path))
+        datadir, ckpt = tmp_path / "data", tmp_path / "pre.txt"
+        commands = {
+            "gen-data": ["--out", str(datadir)],
+            "pretrain": ["--source", str(datadir / "source.tsv"), "--out", str(ckpt)],
+            "adapt": ["--model", str(ckpt), "--target", str(datadir / "target.tsv"),
+                      "--out", str(tmp_path / "adapted.txt")],
+            "experiment": ["--out", str(tmp_path / "report.txt")],
+            "sweep": ["--param", "lambda0", "--values", "0.5", "--out", str(tmp_path / "sw")],
+        }
+        for command, extra in commands.items():
+            reads.clear()
+            assert cli.main([command, "--config", str(cfg_file), *extra]) == 0, command
+            assert reads == [cfg_file], command
+        capsys.readouterr()
 
     def test_error_contract(self, tmp_path, capsys):
         rc = cli.main(["eval", "--model", str(tmp_path / "missing.txt"),

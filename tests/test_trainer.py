@@ -203,6 +203,15 @@ class TestPretrainSource:
         pretrain_source(net, source, cfg)
         assert np.array_equal(net.encoder[0].weight, before)
 
+    def test_frozen_group_stays_put(self, task):
+        source, _ = task
+        cfg = small_cfg()
+        net = model.init_model(cfg.model_dims(source.n_features, source.num_classes), seed=0)
+        net.frozen = {"encoder"}
+        fitted = pretrain_source(net, source, cfg)
+        assert fitted.encoder[0].weight.tobytes() == net.encoder[0].weight.tobytes()
+        assert not np.array_equal(fitted.bottleneck.weight, net.bottleneck.weight)
+
     def test_needs_train_and_val_rows(self, task):
         _, target = task
         cfg = small_cfg()
@@ -240,6 +249,14 @@ class TestAdapt:
         assert adapted.classifier.bias.tobytes() == pretrained.classifier.bias.tobytes()
         assert not np.array_equal(adapted.encoder[0].weight, pretrained.encoder[0].weight)
         assert not np.array_equal(adapted.bottleneck.weight, pretrained.bottleneck.weight)
+
+    def test_frozen_encoder_stays_put(self, task, pretrained):
+        _, target = task
+        frozen = pretrained.copy()
+        frozen.frozen = {"encoder"}
+        adapted, _ = adapt(frozen, target, small_cfg())
+        assert adapted.encoder[0].weight.tobytes() == frozen.encoder[0].weight.tobytes()
+        assert not np.array_equal(adapted.bottleneck.weight, frozen.bottleneck.weight)
 
     def test_input_net_not_mutated(self, task, pretrained):
         _, target = task
