@@ -89,8 +89,9 @@ def read_config_file(path) -> dict:
     """Parse a flat key=value file into typed values, ignoring blanks and # comments.
 
     Keys are ``AdaptConfig`` and ``SyntheticTask`` fields plus ``method`` and
-    ``seeds``. A malformed line, an unknown key, or a value the key's parser
-    rejects raises ``ValueError`` naming the file, the line, and the key.
+    ``seeds``. A malformed line, an unknown key, a value the key's parser
+    rejects, or a value its dataclass rejects (``lambda0 = -1``) raises
+    ``ValueError`` naming the file, the line, and the key.
     """
     out: dict = {}
     with open(path, "r", encoding="utf-8") as handle:
@@ -105,6 +106,8 @@ def read_config_file(path) -> dict:
                 raise ValueError(f"{path}: line {line_no}: unknown key {key!r}")
             try:
                 out[key] = _FILE_PARSERS[key](value)
+                if key in _CONFIG_PARSERS:
+                    trainer.AdaptConfig(**{key: out[key]})  # the field's own validation
             except ValueError as exc:
                 raise ValueError(f"{path}: line {line_no}: bad value for {key!r}: {exc}") from exc
     return out

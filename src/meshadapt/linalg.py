@@ -9,7 +9,8 @@ no BLAS dispatch anywhere:
   over the inner dimension, starting from +0.0. It has two paths that give
   the same bits: one ``np.add.reduce`` over a C-ordered product temporary
   for small shapes with more than one output row and column, and a Python
-  loop of rank-one updates for every other shape (see ``matmul``).
+  loop of rank-one updates, run over blocks of output rows, for every other
+  shape (see ``matmul``).
 - ``topk_sparsify_rows`` selects the k largest entries of each row with
   ``np.partition`` and breaks ties toward the lowest column index, so it
   keeps exactly the entries a stable sort would.
@@ -33,6 +34,10 @@ NORM_TOL = 1e-12
 # The model's batch shapes (up to ~25k elements) run 1.3-5x faster reduced;
 # from ~50k elements with m in the hundreds the loop is as fast or faster.
 MATMUL_REDUCE_MAX_ELEMENTS = 32_768
+
+# Largest output block (float64 elements, 256 KB) that ``matmul``'s rank-one
+# loop updates at a time, so a large output stays in cache through all ``k``.
+MATMUL_BLOCK_ELEMENTS = 32_768
 
 
 class SingularMatrixError(ValueError):
@@ -66,6 +71,12 @@ def matmul(a, b) -> np.ndarray:
       sums over axis 1. The contiguous ``n`` axis is then NumPy's inner loop,
       so the ``k`` axis is added one slice at a time in order.
     - Every other shape runs ``k`` rank-one updates ``a[:, k] * b[k, :]``.
+      The loop walks the output in blocks of whole rows holding at most
+      ``MATMUL_BLOCK_ELEMENTS`` entries (one row per block once ``n``
+      exceeds it) and runs all ``k`` updates on a block before the next,
+      with every product written into one reused temporary. Blocking only
+      regroups whole rows, so each entry still sums in k order; it keeps
+      the graph-shaped products such as (604, 8, 604) in cache.
 
     The guard is needed for the bits, not only for speed. NumPy picks a
     reduction's loop order from the operands' strides: with a single output
@@ -85,8 +96,15 @@ def matmul(a, b) -> np.ndarray:
     if m > 1 and n > 1 and m * inner * n <= MATMUL_REDUCE_MAX_ELEMENTS:
         return np.add.reduce(np.multiply(a[:, :, None], b[None], order="C"), axis=1)
     out = np.zeros((m, n))
-    for k in range(inner):
-        out += a[:, k : k + 1] * b[k : k + 1, :]
+    rows = max(1, MATMUL_BLOCK_ELEMENTS // max(n, 1))
+    tmp = np.empty((min(rows, m), n))
+    for start in range(0, m, rows):
+        block = out[start : start + rows]
+        a_block = a[start : start + rows]
+        product = tmp[: block.shape[0]]
+        for k in range(inner):
+            np.multiply(a_block[:, k : k + 1], b[k : k + 1, :], out=product)
+            block += product
     return out
 
 

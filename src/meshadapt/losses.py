@@ -87,12 +87,6 @@ def entropy_loss(p) -> tuple[float, np.ndarray]:
     return loss, dlogits
 
 
-def hard_pseudo_label(p) -> np.ndarray:
-    """Row argmax; ties resolve to the lowest class index."""
-    p = linalg.require_matrix(p, "p")
-    return np.argmax(p, axis=1)
-
-
 def pseudo_ce_loss(p, pseudo) -> tuple[float, np.ndarray]:
     """One-hot cross entropy against integer pseudo labels."""
     p = linalg.require_matrix(p, "p")
@@ -171,14 +165,21 @@ def vat_loss(
     power_iters: int = 1,
     seed: int = 0,
     probe: np.ndarray | None = None,
+    p_ref: np.ndarray | None = None,
 ) -> VatResult:
     """Divergence between clean predictions and an adversarially shifted copy.
 
     The perturbation direction is estimated per row by ``power_iters`` rounds
     of power iteration: probe the model at ``x + xi * d``, backprop the
-    divergence to the input, renormalise. The final perturbation has L2 norm
-    ``eps_vat`` on every row. The clean branch is treated as a constant, so
-    the returned gradient seed lives entirely on the perturbed forward pass.
+    divergence to the input, renormalise. Those backwards compute only the
+    input gradient. The final perturbation has L2 norm ``eps_vat`` on every
+    row. The clean branch is treated as a constant, so the returned gradient
+    seed lives entirely on the perturbed forward pass.
+
+    ``p_ref`` is the clean prediction ``row_softmax(forward(params, x))``
+    when the caller already has it (the training step does); without it the
+    clean forward runs here. Passing it changes no bit of the result, since
+    every row of a forward depends on that row of ``x`` alone.
 
     ``probe`` overrides the random initial direction (its scale is irrelevant
     because of the normalisation); it exists for reproducibility experiments.
@@ -195,8 +196,12 @@ def vat_loss(
     if xi <= 0.0:
         raise ValueError(f"xi must be positive, got {xi}")
 
-    logits_clean, _ = model.forward(params, x)
-    p_ref = linalg.row_softmax(logits_clean)
+    if p_ref is None:
+        p_ref = linalg.row_softmax(model.forward(params, x)[0])
+    else:
+        p_ref = linalg.require_matrix(p_ref, "p_ref")
+        if p_ref.shape != (x.shape[0], params.classifier.weight.shape[1]):
+            raise ValueError("p_ref must hold one prediction row per row of x")
     batch = x.shape[0]
 
     if probe is None:
@@ -210,7 +215,9 @@ def vat_loss(
     for _ in range(power_iters):
         logits_probe, cache_probe = model.forward(params, x + xi * direction)
         q_probe = linalg.row_softmax(logits_probe)
-        grads = model.backward(params, cache_probe, (q_probe - p_ref) / batch)
+        grads = model.backward(
+            params, cache_probe, (q_probe - p_ref) / batch, param_grads=False
+        )
         direction = _normalize_rows(grads.input_grad, fallback=direction)
 
     perturbation = eps_vat * direction

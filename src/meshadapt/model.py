@@ -90,7 +90,7 @@ class Gradients:
     encoder: list[LayerGrads] | None
     bottleneck: LayerGrads | None
     classifier: LayerGrads | None
-    input_grad: np.ndarray
+    input_grad: np.ndarray | None  # None when ``backward`` was asked to skip it
 
 
 def init_model(dims: list[int], seed: int, activation: str = "tanh") -> ModelParams:
@@ -134,47 +134,49 @@ def _activation_grad(a: np.ndarray, activation: str) -> np.ndarray:
     return (a > 0.0).astype(np.float64)
 
 
-def forward(
-    params: ModelParams,
-    x,
-    dropout_rate: float = 0.0,
-    dropout_on: bool = False,
-    seed: int = 0,
-) -> tuple[np.ndarray, ForwardCache]:
-    """Run the network on a batch, returning logits and a backward cache.
-
-    Dropout uses inverted scaling (kept units multiply by 1/(1-rate)), is
-    applied after each hidden encoder activation only, and draws its masks
-    from ``numpy.random.default_rng(seed)``, so a fixed seed reproduces the
-    exact same stochastic pass. ``dropout_rate=0`` disables masking even
-    when ``dropout_on`` is set.
-    """
+def _check_input(params: ModelParams, x, dropout_rate: float) -> np.ndarray:
     x = linalg.require_matrix(x, "x")
     input_dim = params.encoder[0].weight.shape[0]
     if x.shape[1] != input_dim:
         raise ValueError(f"x has {x.shape[1]} columns, model expects {input_dim}")
     if not 0.0 <= dropout_rate < 1.0:
         raise ValueError(f"dropout_rate must be in [0, 1), got {dropout_rate}")
+    return x
 
-    use_dropout = dropout_on and dropout_rate > 0.0
-    rng = np.random.default_rng(seed) if use_dropout else None
 
-    hidden = x
-    encoder_inputs: list[np.ndarray] = []
-    encoder_activations: list[np.ndarray] = []
+def _encoder_layer(layer: LinearLayer, hidden: np.ndarray, activation: str) -> np.ndarray:
+    return _activate(linalg.matmul(hidden, layer.weight) + layer.bias, activation)
+
+
+def _dropout(
+    act: np.ndarray, rng: np.random.Generator | None, rate: float, masks: list
+) -> np.ndarray:
+    """Apply one inverted-dropout mask drawn from ``rng`` (none when it is None)."""
+    if rng is None:
+        masks.append(None)
+        return act
+    mask = (rng.random(act.shape) >= rate) / (1.0 - rate)
+    masks.append(mask)
+    return act * mask
+
+
+def _forward_after_first_activation(
+    params: ModelParams,
+    x: np.ndarray,
+    first_act: np.ndarray,
+    rng: np.random.Generator | None,
+    dropout_rate: float,
+) -> tuple[np.ndarray, ForwardCache]:
+    """Every layer from the first encoder activation on; masks come from ``rng``."""
+    encoder_inputs = [x]
+    encoder_activations = [first_act]
     dropout_masks: list[np.ndarray | None] = []
-    for layer in params.encoder:
+    hidden = _dropout(first_act, rng, dropout_rate, dropout_masks)
+    for layer in params.encoder[1:]:
         encoder_inputs.append(hidden)
-        pre = linalg.matmul(hidden, layer.weight) + layer.bias
-        act = _activate(pre, params.activation)
+        act = _encoder_layer(layer, hidden, params.activation)
         encoder_activations.append(act)
-        if use_dropout:
-            mask = (rng.random(act.shape) >= dropout_rate) / (1.0 - dropout_rate)
-            dropout_masks.append(mask)
-            hidden = act * mask
-        else:
-            dropout_masks.append(None)
-            hidden = act
+        hidden = _dropout(act, rng, dropout_rate, dropout_masks)
 
     bottleneck_out = linalg.matmul(hidden, params.bottleneck.weight) + params.bottleneck.bias
     logits = linalg.matmul(bottleneck_out, params.classifier.weight) + params.classifier.bias
@@ -190,18 +192,51 @@ def forward(
     return logits, cache
 
 
+def forward(
+    params: ModelParams,
+    x,
+    dropout_rate: float = 0.0,
+    dropout_on: bool = False,
+    seed: int = 0,
+) -> tuple[np.ndarray, ForwardCache]:
+    """Run the network on a batch, returning logits and a backward cache.
+
+    Dropout uses inverted scaling (kept units multiply by 1/(1-rate)), is
+    applied after each hidden encoder activation only, and draws its masks
+    from ``numpy.random.default_rng(seed)``, one layer after the other, so a
+    fixed seed reproduces the exact same stochastic pass.
+    ``dropout_rate=0`` disables masking even when ``dropout_on`` is set.
+    """
+    x = _check_input(params, x, dropout_rate)
+    use_dropout = dropout_on and dropout_rate > 0.0
+    rng = np.random.default_rng(seed) if use_dropout else None
+    first_act = _encoder_layer(params.encoder[0], x, params.activation)
+    return _forward_after_first_activation(params, x, first_act, rng, dropout_rate)
+
+
 def bottleneck_features(params: ModelParams, x) -> np.ndarray:
     """Deterministic (dropout-free) bottleneck outputs for a batch."""
     _, cache = forward(params, x)
     return cache.bottleneck_out
 
 
-def backward(params: ModelParams, cache: ForwardCache, dlogits) -> Gradients:
+def backward(
+    params: ModelParams,
+    cache: ForwardCache,
+    dlogits,
+    input_grad: bool = True,
+    param_grads: bool = True,
+) -> Gradients:
     """Backpropagate a logit-space gradient seed through the cached pass.
 
     Returns parameter gradients for every unfrozen group plus the gradient
     with respect to the network input. Gradients still flow *through* frozen
     groups; freezing only suppresses their parameter entries.
+
+    A caller computes only what it reads: ``input_grad=False`` skips the
+    first layer's input gradient (``Gradients.input_grad`` is None), and
+    ``param_grads=False`` skips every parameter gradient as if all groups
+    were frozen. Whatever is computed has the same bits as in a full pass.
     """
     dlogits = linalg.require_matrix(dlogits, "dlogits")
     if len(cache.encoder_inputs) != len(params.encoder):
@@ -212,9 +247,10 @@ def backward(params: ModelParams, cache: ForwardCache, dlogits) -> Gradients:
         )
     if cache.bottleneck_input.shape[1] != params.bottleneck.weight.shape[0]:
         raise ValueError("cache does not match model: bottleneck width differs")
+    frozen = params.frozen if param_grads else set(GROUPS)
 
     classifier_grads = None
-    if "classifier" not in params.frozen:
+    if "classifier" not in frozen:
         classifier_grads = LayerGrads(
             weight=linalg.matmul(cache.bottleneck_out.T, dlogits),
             bias=dlogits.sum(axis=0),
@@ -222,14 +258,14 @@ def backward(params: ModelParams, cache: ForwardCache, dlogits) -> Gradients:
     d_bottleneck_out = linalg.matmul(dlogits, params.classifier.weight.T)
 
     bottleneck_grads = None
-    if "bottleneck" not in params.frozen:
+    if "bottleneck" not in frozen:
         bottleneck_grads = LayerGrads(
             weight=linalg.matmul(cache.bottleneck_input.T, d_bottleneck_out),
             bias=d_bottleneck_out.sum(axis=0),
         )
     d_hidden = linalg.matmul(d_bottleneck_out, params.bottleneck.weight.T)
 
-    encoder_frozen = "encoder" in params.frozen
+    encoder_frozen = "encoder" in frozen
     encoder_grads: list[LayerGrads] | None = None if encoder_frozen else []
     for i in range(len(params.encoder) - 1, -1, -1):
         mask = cache.dropout_masks[i]
@@ -241,7 +277,9 @@ def backward(params: ModelParams, cache: ForwardCache, dlogits) -> Gradients:
                 bias=d_pre.sum(axis=0),
             )
             encoder_grads.insert(0, grads)
-        d_hidden = linalg.matmul(d_pre, params.encoder[i].weight.T)
+        d_hidden = None
+        if i > 0 or input_grad:
+            d_hidden = linalg.matmul(d_pre, params.encoder[i].weight.T)
 
     return Gradients(
         encoder=encoder_grads,
@@ -258,15 +296,23 @@ def mc_dropout_predict(
     dropout_rate: float,
     seed: int,
 ) -> np.ndarray:
-    """Mean softmax output over ``passes`` stochastic dropout forwards."""
+    """Mean softmax output over ``passes`` stochastic dropout forwards.
+
+    Pass ``i`` equals ``forward(params, x, dropout_rate, dropout_on=True,
+    seed=s_i)`` bit for bit, with ``s_i`` the ``i``-th draw of
+    ``default_rng(seed)``. Dropout acts only after the first encoder
+    activation, so ``act(x W1 + b1)`` is computed once and shared by all
+    passes.
+    """
     if passes < 1:
         raise ValueError(f"passes must be >= 1, got {passes}")
+    x = _check_input(params, x, dropout_rate)
+    first_act = _encoder_layer(params.encoder[0], x, params.activation)
     pass_seeds = np.random.default_rng(seed).integers(0, 2**63 - 1, size=passes)
     total = None
     for pass_seed in pass_seeds:
-        logits, _ = forward(
-            params, x, dropout_rate=dropout_rate, dropout_on=True, seed=int(pass_seed)
-        )
+        rng = np.random.default_rng(int(pass_seed)) if dropout_rate > 0.0 else None
+        logits, _ = _forward_after_first_activation(params, x, first_act, rng, dropout_rate)
         proba = linalg.row_softmax(logits)
         total = proba if total is None else total + proba
     return total / passes

@@ -37,6 +37,7 @@ _EPOCH_FIELDS = (
     "seed_acc",
     "test_acc",
 )
+_LOSS_FIELDS = _EPOCH_FIELDS[1:7]
 
 
 @dataclass
@@ -279,7 +280,7 @@ def pretrain_source(
             logits, cache = model.forward(params, train.features[batch])
             proba = linalg.row_softmax(logits)
             _, dlogits = losses.cross_entropy(proba, smoothed[batch])
-            sgd.step([model.backward(params, cache, dlogits)])
+            sgd.step([model.backward(params, cache, dlogits, input_grad=False)])
         acc = evaluate(params, val)
         if acc > best_acc:
             best_acc = acc
@@ -344,6 +345,79 @@ def _refresh_pseudo_labels(
     return pseudo, pseudo_acc, seed_acc
 
 
+def _require_finite(where: str, terms: dict) -> None:
+    """Raise naming ``where`` and the term when a loss or its logit gradient is not finite."""
+    for name, (value, dlogits) in terms.items():
+        if not (math.isfinite(value) and np.all(np.isfinite(dlogits))):
+            raise ValueError(f"{where}: loss term {name} is not finite (value {value!r})")
+
+
+def _train_step(
+    params: model.ModelParams,
+    sgd: _MomentumSGD,
+    cfg: AdaptConfig,
+    xb_l: np.ndarray,
+    yb_l: np.ndarray,
+    xb_u: np.ndarray | None,
+    pseudo_u: np.ndarray | None,
+    vat_xi: float,
+    rng: np.random.Generator,
+    where: str,
+) -> losses.LossBundle:
+    """One joint SGD step on a labeled batch and, when a term needs it, an unlabeled batch.
+
+    Each clean forward runs once: VAT takes the labeled and unlabeled
+    probabilities as its clean reference instead of recomputing them, and
+    the backwards skip the input gradient nobody reads. A loss value or
+    logit gradient that is not finite raises ``ValueError`` naming ``where``
+    (the epoch and step) and the term.
+    """
+    logits_l, cache_l = model.forward(params, xb_l)
+    proba_l = linalg.row_softmax(logits_l)
+    onehot = np.zeros_like(proba_l)
+    onehot[np.arange(yb_l.size), yb_l] = 1.0
+    terms = {"l_lab": losses.cross_entropy(proba_l, onehot)}
+
+    cache_u = proba_u = None
+    if not (cfg.no_ent and cfg.no_ps and cfg.no_div):
+        logits_u, cache_u = model.forward(params, xb_u)
+        proba_u = linalg.row_softmax(logits_u)
+        if not cfg.no_ent:
+            terms["l_ent"] = losses.entropy_loss(proba_u)
+        if not cfg.no_ps:
+            terms["l_ps"] = losses.pseudo_ce_loss(proba_u, pseudo_u)
+        if not cfg.no_div:
+            terms["l_div"] = losses.diversity_loss(proba_u)
+
+    vat_result = None
+    if not cfg.no_vat:
+        if proba_u is None:
+            proba_u = linalg.row_softmax(model.forward(params, xb_u)[0])
+        vat_result = losses.vat_loss(
+            params, np.vstack([xb_l, xb_u]), cfg.eps_vat, xi=vat_xi,
+            power_iters=cfg.vat_power_iters, seed=int(rng.integers(0, 2**63 - 1)),
+            p_ref=np.vstack([proba_l, proba_u]),
+        )
+        terms["l_vadv"] = (vat_result.loss, vat_result.dlogits)
+    _require_finite(where, terms)
+
+    bundle = losses.total_reg(
+        terms["l_lab"], terms.get("l_ent"), terms.get("l_ps"),
+        vat_result.loss if vat_result is not None else None,
+        terms.get("l_div"), cfg.lambda0,
+    )
+    contributions = [(cache_l, bundle.dlogits_labeled)]
+    if cache_u is not None and bundle.dlogits_unlabeled is not None:
+        contributions.append((cache_u, bundle.dlogits_unlabeled))
+    if vat_result is not None:
+        contributions.append((vat_result.cache, vat_result.dlogits))
+    sgd.step([
+        model.backward(params, cache, dlogits, input_grad=False)
+        for cache, dlogits in contributions
+    ])
+    return bundle
+
+
 def adapt(
     net: model.ModelParams,
     target: Dataset,
@@ -394,7 +468,6 @@ def adapt(
     vat_xi = cfg.vat_xi if cfg.vat_xi is not None else 1e-6 * np.sqrt(x_labeled.shape[1])
     sgd = _MomentumSGD(params, cfg)
     need_unlabeled_batch = not (cfg.no_ent and cfg.no_ps and cfg.no_div and cfg.no_vat)
-    need_unlabeled_forward = not (cfg.no_ent and cfg.no_ps and cfg.no_div)
 
     if debug_graph_dir is not None:
         debug_graph_dir = Path(debug_graph_dir)
@@ -417,71 +490,27 @@ def adapt(
                 num_classes, cfg, rng, debug_paths,
             )
 
-        sums = {"l_lab": 0.0, "l_ent": 0.0, "l_ps": 0.0,
-                "l_vadv": 0.0, "l_div": 0.0, "l_total": 0.0}
-        for _ in range(steps):
+        sums = dict.fromkeys(_LOSS_FIELDS, 0.0)
+        for step in range(1, steps + 1):
             batch_l = labeled_cycler.take(min(cfg.batch_size, r))
-            xb_l = x_labeled[batch_l]
-            logits_l, cache_l = model.forward(params, xb_l)
-            proba_l = linalg.row_softmax(logits_l)
-            onehot = np.zeros((batch_l.size, num_classes))
-            onehot[np.arange(batch_l.size), y_labeled[batch_l]] = 1.0
-            labeled_term = losses.cross_entropy(proba_l, onehot)
-
-            ent_term = ps_term = div_term = None
-            cache_u = None
-            xb_u = None
+            xb_u = pseudo_u = None
             if need_unlabeled_batch:
                 batch_u = rng.choice(m, size=min(cfg.batch_size, m), replace=False)
                 xb_u = x_unlabeled[batch_u]
-            if need_unlabeled_forward:
-                logits_u, cache_u = model.forward(params, xb_u)
-                proba_u = linalg.row_softmax(logits_u)
-                if not cfg.no_ent:
-                    ent_term = losses.entropy_loss(proba_u)
-                if not cfg.no_ps:
-                    ps_term = losses.pseudo_ce_loss(proba_u, pseudo[batch_u])
-                if not cfg.no_div:
-                    div_term = losses.diversity_loss(proba_u)
-
-            vat_result = None
-            if not cfg.no_vat:
-                vat_seed = int(rng.integers(0, 2**63 - 1))
-                vat_result = losses.vat_loss(
-                    params, np.vstack([xb_l, xb_u]), cfg.eps_vat,
-                    xi=vat_xi, power_iters=cfg.vat_power_iters, seed=vat_seed,
-                )
-
-            bundle = losses.total_reg(
-                labeled_term, ent_term, ps_term,
-                vat_result.loss if vat_result is not None else None,
-                div_term, cfg.lambda0,
+                if pseudo is not None:
+                    pseudo_u = pseudo[batch_u]
+            bundle = _train_step(
+                params, sgd, cfg, x_labeled[batch_l], y_labeled[batch_l], xb_u, pseudo_u,
+                vat_xi, rng, f"epoch {epoch}, step {step}",
             )
-
-            contributions = [(cache_l, bundle.dlogits_labeled)]
-            if cache_u is not None and bundle.dlogits_unlabeled is not None:
-                contributions.append((cache_u, bundle.dlogits_unlabeled))
-            if vat_result is not None:
-                contributions.append((vat_result.cache, vat_result.dlogits))
-            sgd.step([model.backward(params, cache, dlogits) for cache, dlogits in contributions])
-
-            sums["l_lab"] += bundle.l_lab
-            sums["l_ent"] += bundle.l_ent
-            sums["l_ps"] += bundle.l_ps
-            sums["l_vadv"] += bundle.l_vadv
-            sums["l_div"] += bundle.l_div
-            sums["l_total"] += bundle.l_total
+            for name in _LOSS_FIELDS:
+                sums[name] += getattr(bundle, name)
 
         test_acc = evaluate(params, test_set) if test_set is not None else float("nan")
         report.records.append(
             EpochRecord(
                 epoch=epoch,
-                l_lab=sums["l_lab"] / steps,
-                l_ent=sums["l_ent"] / steps,
-                l_ps=sums["l_ps"] / steps,
-                l_vadv=sums["l_vadv"] / steps,
-                l_div=sums["l_div"] / steps,
-                l_total=sums["l_total"] / steps,
+                **{name: total / steps for name, total in sums.items()},
                 pseudo_acc=pseudo_acc,
                 seed_acc=seed_acc,
                 test_acc=test_acc,

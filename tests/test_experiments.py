@@ -243,6 +243,21 @@ class TestConfigFileParsing:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "line 3" in err and repr(key) in err
 
+    @pytest.mark.parametrize(
+        "line,key,reason",
+        [("lambda0 = -1", "lambda0", "lambda0 must be nonnegative"),
+         ("k_hat = 0", "k_hat", "k_hat must be >= 1")],
+    )
+    def test_invalid_value_names_file_line_and_key(self, tmp_path, capsys, line, key, reason):
+        # these parse as numbers; AdaptConfig's validation rejects them
+        path = tmp_path / "bad.cfg"
+        path.write_text(f"# run\nepochs = 2\n{line}\n")
+        rc = cli.main(["experiment", "--config", str(path)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(path) in err and "line 3" in err and repr(key) in err and reason in err
+
     def test_file_and_flags_resolve_alike(self, tmp_path):
         # every field at a non-default value, covering each parser type
         text = {

@@ -16,6 +16,7 @@ from hypothesis.extra.numpy import arrays
 
 from meshadapt import linalg
 from meshadapt.linalg import (
+    MATMUL_BLOCK_ELEMENTS,
     MATMUL_REDUCE_MAX_ELEMENTS,
     ConvergenceError,
     SingularMatrixError,
@@ -175,7 +176,36 @@ class TestMatmul:
         b = with_layout(random_factor(rng, (k, n), 0.2), layout)
         assert_same_bits(matmul(a, b), triple_loop_matmul(a, b))
 
-    @pytest.mark.parametrize("shape", [(3, 12, 4), (3, 12, 1), (1, 12, 4), (2, 1, 2)])
+    @pytest.mark.parametrize(
+        "shape",
+        [
+            # the loop updates MATMUL_BLOCK_ELEMENTS // n output rows at a
+            # time: full blocks plus a short one, an exact multiple, one row
+            # past it, a single short block, and the graph shapes' ratio
+            (250, 4, 300),
+            (256, 3, 256),
+            (257, 3, 256),
+            (127, 5, 256),
+            (3, 4, MATMUL_BLOCK_ELEMENTS // 2),
+            # n above the block size: one row per block
+            (3, 3, MATMUL_BLOCK_ELEMENTS + 1),
+            # a single output column: blocks of MATMUL_BLOCK_ELEMENTS rows
+            (MATMUL_BLOCK_ELEMENTS + 5, 3, 1),
+        ],
+    )
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_matches_triple_loop_across_output_blocks(self, shape, layout):
+        m, k, n = shape
+        assert m * k * n > MATMUL_REDUCE_MAX_ELEMENTS  # the looped path
+        rng = np.random.default_rng(m * 10_000 + k * 100 + n)
+        a = with_layout(random_factor(rng, (m, k), 0.2), layout)
+        b = with_layout(random_factor(rng, (k, n), 0.2), layout)
+        assert_same_bits(matmul(a, b), triple_loop_matmul(a, b))
+
+    @pytest.mark.parametrize(
+        "shape",
+        [(3, 12, 4), (3, 12, 1), (1, 12, 4), (2, 1, 2), (257, 3, 256), (2, 2, 40_000)],
+    )
     def test_signed_zero_products_sum_to_positive_zero(self, shape):
         # every product is -0.0; the triple loop starts each entry at +0.0,
         # and +0.0 + -0.0 = +0.0, so neither path may return -0.0

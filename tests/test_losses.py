@@ -19,7 +19,6 @@ from meshadapt.losses import (
     cross_entropy,
     diversity_loss,
     entropy_loss,
-    hard_pseudo_label,
     kl_divergence,
     pseudo_ce_loss,
     smooth_labels,
@@ -141,16 +140,6 @@ class TestEntropyLoss:
         p = row_softmax(z)
         loss, _ = entropy_loss(p)
         assert -1e-12 <= loss <= np.log(p.shape[1]) + 1e-12
-
-
-class TestHardPseudoLabel:
-    def test_argmax(self):
-        p = np.array([[0.1, 0.7, 0.2], [0.6, 0.3, 0.1]])
-        assert np.array_equal(hard_pseudo_label(p), [1, 0])
-
-    def test_tie_goes_to_lowest_index(self):
-        p = np.array([[0.4, 0.4, 0.2]])
-        assert hard_pseudo_label(p)[0] == 0
 
 
 class TestPseudoCeLoss:
@@ -281,6 +270,29 @@ class TestVatLoss:
         res = vat_loss(net, x, eps_vat=0.5, power_iters=3, seed=0)
         assert np.isfinite(res.loss)
 
+    @pytest.mark.parametrize("dims", [(3, 6, 4, 3), (3, 7, 5, 4, 3)])
+    @pytest.mark.parametrize("power_iters", [1, 2])
+    def test_given_clean_prediction_changes_no_bit(self, dims, power_iters):
+        # the training step passes the clean prediction it already has;
+        # the result must be the bytes of the run that computes it here
+        net = tiny_net(seed=12, dims=dims)
+        x = np.random.default_rng(13).standard_normal((9, 3)) * 2
+        p_ref = row_softmax(model.forward(net, x)[0])
+        a = vat_loss(net, x, eps_vat=1.0, power_iters=power_iters, seed=5)
+        b = vat_loss(net, x, eps_vat=1.0, power_iters=power_iters, seed=5, p_ref=p_ref)
+        assert repr(a.loss) == repr(b.loss)
+        for name in ("perturbation", "dlogits"):
+            assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+        assert a.cache.logits.tobytes() == b.cache.logits.tobytes()
+
+    def test_clean_prediction_is_used(self):
+        net = tiny_net(seed=14)
+        x = np.random.default_rng(15).standard_normal((4, 3))
+        uniform = np.full((4, 3), 1.0 / 3.0)
+        a = vat_loss(net, x, eps_vat=1.0, seed=0)
+        b = vat_loss(net, x, eps_vat=1.0, seed=0, p_ref=uniform)
+        assert a.loss != b.loss
+
     def test_parameter_errors(self):
         net = tiny_net(seed=6)
         x = np.zeros((2, 3))
@@ -294,6 +306,10 @@ class TestVatLoss:
             vat_loss(net, x, eps_vat=1.0, probe=np.zeros((3, 3)))
         with pytest.raises(ValueError, match="empty"):
             vat_loss(net, np.zeros((0, 3)), eps_vat=1.0)
+        with pytest.raises(ValueError, match="p_ref"):
+            vat_loss(net, x, eps_vat=1.0, p_ref=np.full((1, 3), 1.0 / 3.0))
+        with pytest.raises(ValueError, match="p_ref"):
+            vat_loss(net, x, eps_vat=1.0, p_ref=np.full((2, 2), 0.5))
 
 
 class TestTotalReg:

@@ -46,6 +46,31 @@ def fd_param_gradient(params, x, y, tensor, h=1e-6):
     return grad
 
 
+def per_pass_mc_oracle(params, x, passes, dropout_rate, seed):
+    """Mean softmax over one full ``forward`` per pass, each with its own seed."""
+    pass_seeds = np.random.default_rng(seed).integers(0, 2**63 - 1, size=passes)
+    total = None
+    for pass_seed in pass_seeds:
+        logits, _ = forward(
+            params, x, dropout_rate=dropout_rate, dropout_on=True, seed=int(pass_seed)
+        )
+        proba = row_softmax(logits)
+        total = proba if total is None else total + proba
+    return total / passes
+
+
+def gradient_bytes(grads):
+    """Every parameter gradient of ``grads`` as bytes, None for a skipped group."""
+    out = []
+    for group in (grads.encoder, grads.bottleneck, grads.classifier):
+        if group is None:
+            out.append(None)
+            continue
+        for layer in group if isinstance(group, list) else [group]:
+            out.extend([layer.weight.tobytes(), layer.bias.tobytes()])
+    return out
+
+
 def make_problem(seed, dims):
     rng = np.random.default_rng(seed)
     net = init_model(dims, seed=seed)
@@ -145,6 +170,15 @@ class TestForward:
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
+    def test_dropout_masks_follow_one_seeded_stream(self):
+        # layer by layer, each mask is the next rng.random block of default_rng(seed)
+        net, x, _ = make_problem(3, [3, 7, 6, 4, 2])
+        _, cache = forward(net, x, dropout_rate=0.3, dropout_on=True, seed=9)
+        rng = np.random.default_rng(9)
+        for mask, act in zip(cache.dropout_masks, cache.encoder_activations):
+            expected = (rng.random(act.shape) >= 0.3) / (1.0 - 0.3)
+            assert mask.tobytes() == expected.tobytes()
+
     def test_dropout_rate_zero_is_clean(self):
         net, x, _ = make_problem(4, [3, 6, 4, 2])
         a, _ = forward(net, x, dropout_rate=0.0, dropout_on=True, seed=1)
@@ -224,6 +258,26 @@ class TestBackward:
             # a unit silenced for the whole batch receives no weight gradient
             assert np.allclose(grads.encoder[0].weight[:, dropped_units], 0.0)
 
+    @pytest.mark.parametrize("dims", [[3, 6, 4, 2], [2, 5, 5, 3, 4]])
+    @pytest.mark.parametrize("dropout_on", [False, True])
+    @pytest.mark.parametrize("frozen", [set(), {"classifier"}, {"encoder"}])
+    def test_partial_passes_match_full_bitwise(self, dims, dropout_on, frozen):
+        net, x, y = make_problem(16, dims)
+        net.frozen = set(frozen)
+        logits, cache = forward(net, x, dropout_rate=0.4, dropout_on=dropout_on, seed=5)
+        _, dlogits = cross_entropy(row_softmax(logits), y)
+        full = backward(net, cache, dlogits)
+
+        no_input = backward(net, cache, dlogits, input_grad=False)
+        assert no_input.input_grad is None
+        assert gradient_bytes(no_input) == gradient_bytes(full)
+
+        input_only = backward(net, cache, dlogits, param_grads=False)
+        assert input_only.encoder is None
+        assert input_only.bottleneck is None
+        assert input_only.classifier is None
+        assert input_only.input_grad.tobytes() == full.input_grad.tobytes()
+
     def test_cache_mismatch_rejected(self):
         net, x, y = make_problem(10, [3, 6, 4, 2])
         other = init_model([3, 7, 4, 2], seed=0)
@@ -257,6 +311,22 @@ class TestMcDropout:
         mean = mc_dropout_predict(net, x, passes=3, dropout_rate=0.0, seed=0)
         logits, _ = forward(net, x)
         assert np.allclose(mean, row_softmax(logits), atol=1e-12)
+
+    @pytest.mark.parametrize("dims", [[3, 10, 4, 3], [3, 7, 6, 4, 3]])
+    @pytest.mark.parametrize("rate", [0.5, 0.2, 0.0])
+    def test_matches_per_pass_forward_bitwise(self, dims, rate):
+        net, x, _ = make_problem(16, dims)
+        x = np.vstack([x, -x, 2 * x])
+        mean = mc_dropout_predict(net, x, passes=4, dropout_rate=rate, seed=17)
+        expected = per_pass_mc_oracle(net, x, passes=4, dropout_rate=rate, seed=17)
+        assert mean.tobytes() == expected.tobytes()
+
+    def test_input_errors(self):
+        net, x, _ = make_problem(15, [3, 10, 4, 3])
+        with pytest.raises(ValueError, match="columns"):
+            mc_dropout_predict(net, x[:, :2], passes=2, dropout_rate=0.5, seed=0)
+        with pytest.raises(ValueError, match="dropout_rate"):
+            mc_dropout_predict(net, x, passes=2, dropout_rate=1.0, seed=0)
 
     def test_passes_must_be_positive(self):
         net, x, _ = make_problem(15, [3, 10, 4, 3])

@@ -9,7 +9,7 @@ learned parameters (it may only feed the report's accuracy columns).
 import numpy as np
 import pytest
 
-from meshadapt import data, model, trainer
+from meshadapt import data, linalg, losses, model, trainer
 from meshadapt.trainer import (
     AdaptConfig,
     EpochRecord,
@@ -21,6 +21,7 @@ from meshadapt.trainer import (
     pretrain_source,
     write_train_report,
 )
+from test_model import per_pass_mc_oracle
 
 
 def small_cfg(**overrides) -> AdaptConfig:
@@ -241,6 +242,11 @@ def params_equal(a: model.ModelParams, b: model.ModelParams) -> bool:
     )
 
 
+def params_bytes(p):
+    layers = [*p.encoder, p.bottleneck, p.classifier]
+    return [a.tobytes() for layer in layers for a in (layer.weight, layer.bias)]
+
+
 class TestAdapt:
     def test_classifier_bit_identical_encoder_moves(self, task, pretrained):
         _, target = task
@@ -385,6 +391,92 @@ class TestAdapt:
         )
         with pytest.raises(ValueError, match="missing class"):
             adapt(pretrained, partial, cfg)
+
+
+VAT_ONLY = dict(no_ent=True, no_ps=True, no_div=True)
+
+
+class TestAdaptStepSharing:
+    """The step reuses clean forwards and skips unread gradients; the results
+    must be the bytes of a run that recomputes everything."""
+
+    @pytest.mark.parametrize("overrides", [{}, VAT_ONLY, {"hidden_dims": (8, 6)}])
+    def test_matches_recomputing_oracles_bitwise(self, task, pretrained, overrides, monkeypatch):
+        source, target = task
+        cfg = small_cfg(epochs=2, **overrides)
+        net = pretrained
+        if "hidden_dims" in overrides:
+            dims = cfg.model_dims(source.n_features, source.num_classes)
+            net = pretrain_source(model.init_model(dims, seed=0), source, cfg)
+        fast, fast_report = adapt(net, target, cfg)
+
+        vat_loss, backward = losses.vat_loss, model.backward
+        monkeypatch.setattr(
+            losses, "vat_loss", lambda *args, p_ref=None, **kw: vat_loss(*args, **kw)
+        )
+        monkeypatch.setattr(
+            model, "backward", lambda params, cache, dlogits, **kw: backward(params, cache, dlogits)
+        )
+        monkeypatch.setattr(model, "mc_dropout_predict", per_pass_mc_oracle)
+        slow, slow_report = adapt(net, target, cfg)
+
+        assert params_bytes(fast) == params_bytes(slow)
+        assert repr(fast_report) == repr(slow_report)
+
+    @pytest.mark.parametrize("overrides", [{}, VAT_ONLY])
+    def test_vat_reference_is_the_clean_prediction(self, task, pretrained, overrides, monkeypatch):
+        _, target = task
+        vat_loss = losses.vat_loss
+        seen = []
+
+        def checked(params, x, *args, p_ref=None, **kw):
+            clean = linalg.row_softmax(model.forward(params, x)[0])
+            seen.append(p_ref.tobytes() == clean.tobytes())
+            return vat_loss(params, x, *args, p_ref=p_ref, **kw)
+
+        monkeypatch.setattr(losses, "vat_loss", checked)
+        adapt(pretrained, target, small_cfg(epochs=1, **overrides))
+        assert seen and all(seen)
+
+
+class TestNonFiniteGuard:
+    TERMS = {
+        "l_lab": "cross_entropy",
+        "l_ent": "entropy_loss",
+        "l_ps": "pseudo_ce_loss",
+        "l_vadv": "vat_loss",
+        "l_div": "diversity_loss",
+    }
+
+    @pytest.mark.parametrize("term", list(TERMS))
+    @pytest.mark.parametrize("where", ["value", "gradient"])
+    def test_names_epoch_step_and_term(self, task, pretrained, term, where, monkeypatch):
+        _, target = task
+        name = self.TERMS[term]
+        original = getattr(losses, name)
+        calls = []
+
+        def poisoned(*args, **kwargs):
+            result = original(*args, **kwargs)
+            calls.append(None)
+            if len(calls) < 3:  # the first two steps stay finite
+                return result
+            if name == "vat_loss":
+                if where == "value":
+                    return result._replace(loss=float("nan"))
+                return result._replace(dlogits=np.full_like(result.dlogits, np.inf))
+            loss, dlogits = result
+            if where == "value":
+                return float("nan"), dlogits
+            dlogits = dlogits.copy()
+            dlogits[0, 0] = np.nan
+            return loss, dlogits
+
+        monkeypatch.setattr(losses, name, poisoned)
+        # pseudo_ce_loss calls cross_entropy too; without it, one call per step
+        cfg = small_cfg(no_ps=term == "l_lab")
+        with pytest.raises(ValueError, match=rf"^epoch 1, step 3: loss term {term} is not finite"):
+            adapt(pretrained, target, cfg)
 
 
 class TestTrainReportFile:
