@@ -10,7 +10,12 @@ no BLAS dispatch anywhere:
   the same bits: one ``np.add.reduce`` over a C-ordered product temporary
   for small shapes with more than one output row and column, and a Python
   loop of rank-one updates, run over blocks of output rows, for every other
-  shape (see ``matmul``).
+  shape (see ``matmul``). Its result is always C-contiguous.
+- ``cosine_similarity_matrix`` computes only the upper triangle, one block
+  of rows at a time, and mirrors it: ``u_i . u_j`` and ``u_j . u_i`` sum
+  the same products in the same order, so the mirror is exact. Its result
+  is the one n x n buffer the propagation graph is then built in, in place
+  (``symmetric_normalize`` normalises its argument in place).
 - ``topk_sparsify_rows`` selects the k largest entries of each row with
   ``np.partition`` and breaks ties toward the lowest column index, so it
   keeps exactly the entries a stable sort would.
@@ -37,6 +42,7 @@ MATMUL_REDUCE_MAX_ELEMENTS = 32_768
 
 # Largest output block (float64 elements, 256 KB) that ``matmul``'s rank-one
 # loop updates at a time, so a large output stays in cache through all ``k``.
+# The n x n graph kernels walk their matrix in row blocks of the same size.
 MATMUL_BLOCK_ELEMENTS = 32_768
 
 
@@ -46,6 +52,11 @@ class SingularMatrixError(ValueError):
 
 class ConvergenceError(ArithmeticError):
     """Raised when conjugate gradient exhausts its budget or loses definiteness."""
+
+
+def _block_rows(n_cols: int) -> int:
+    """Rows per block of a ``n_cols``-wide matrix walked in row blocks."""
+    return max(1, MATMUL_BLOCK_ELEMENTS // max(n_cols, 1))
 
 
 def require_matrix(x, name: str = "matrix") -> np.ndarray:
@@ -69,7 +80,12 @@ def matmul(a, b) -> np.ndarray:
       ``m * k * n`` is at most ``MATMUL_REDUCE_MAX_ELEMENTS``, all products
       go into one C-ordered ``(m, k, n)`` temporary that ``np.add.reduce``
       sums over axis 1. The contiguous ``n`` axis is then NumPy's inner loop,
-      so the ``k`` axis is added one slice at a time in order.
+      so the ``k`` axis is added one slice at a time in order. When
+      ``n < m`` the path reduces ``b.T`` by ``a.T`` instead, so the longer
+      side is the inner loop, and returns a C-contiguous copy of the
+      transpose: multiplication commutes and ``k`` keeps its order, so the
+      bits are the same, and a transposed view would change the bits of a
+      later ``sum(axis=0)`` over the result.
     - Every other shape runs ``k`` rank-one updates ``a[:, k] * b[k, :]``.
       The loop walks the output in blocks of whole rows holding at most
       ``MATMUL_BLOCK_ELEMENTS`` entries (one row per block once ``n``
@@ -94,9 +110,11 @@ def matmul(a, b) -> np.ndarray:
     m, inner = a.shape
     n = b.shape[1]
     if m > 1 and n > 1 and m * inner * n <= MATMUL_REDUCE_MAX_ELEMENTS:
-        return np.add.reduce(np.multiply(a[:, :, None], b[None], order="C"), axis=1)
+        if n < m:
+            return np.ascontiguousarray(_reduce_product(b.T, a.T).T)
+        return _reduce_product(a, b)
     out = np.zeros((m, n))
-    rows = max(1, MATMUL_BLOCK_ELEMENTS // max(n, 1))
+    rows = _block_rows(n)
     tmp = np.empty((min(rows, m), n))
     for start in range(0, m, rows):
         block = out[start : start + rows]
@@ -106,6 +124,11 @@ def matmul(a, b) -> np.ndarray:
             np.multiply(a_block[:, k : k + 1], b[k : k + 1, :], out=product)
             block += product
     return out
+
+
+def _reduce_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` summed over k in order by one reduce over a C-ordered temporary."""
+    return np.add.reduce(np.multiply(a[:, :, None], b[None], order="C"), axis=1)
 
 
 def row_softmax(logits) -> np.ndarray:
@@ -119,8 +142,14 @@ def row_softmax(logits) -> np.ndarray:
 def cosine_similarity_matrix(x) -> np.ndarray:
     """Pairwise cosine similarity of the rows of ``x``.
 
-    Returns a symmetric matrix with unit diagonal and entries in [-1, 1].
-    Rows with near-zero norm make the similarity undefined and raise.
+    Returns a symmetric C-contiguous matrix with unit diagonal and entries
+    in [-1, 1]. Rows with near-zero norm make the similarity undefined and
+    raise. The matrix is filled one block of rows at a time: each block
+    takes the products with its own and later rows, and the later part is
+    mirrored into the later rows. Entry (j, i) then equals entry (i, j)
+    bitwise, as a full product would give it, at half the ``matmul`` work.
+    The result is the only n x n array the caller needs to allocate:
+    ``propagation.build_graph`` transforms it in place.
     """
     x = require_matrix(x, "features")
     norms = np.sqrt((x * x).sum(axis=1))
@@ -128,9 +157,17 @@ def cosine_similarity_matrix(x) -> np.ndarray:
         bad = int(np.flatnonzero(norms <= NORM_TOL)[0])
         raise ValueError(f"row {bad} has near-zero norm; cosine similarity undefined")
     unit = x / norms[:, None]
-    sim = matmul(unit, unit.T)
-    np.fill_diagonal(sim, 1.0)
-    return np.clip(sim, -1.0, 1.0)
+    n = unit.shape[0]
+    sim = np.empty((n, n))
+    rows = _block_rows(n)
+    for start in range(0, n, rows):
+        stop = min(start + rows, n)
+        upper = matmul(unit[start:stop], unit[start:].T)
+        np.fill_diagonal(upper, 1.0)
+        np.clip(upper, -1.0, 1.0, out=upper)
+        sim[start:stop, start:] = upper
+        sim[stop:, start:stop] = upper[:, stop - start :].T
+    return sim
 
 
 def topk_sparsify_rows(w, k: int) -> np.ndarray:
@@ -165,23 +202,36 @@ def topk_sparsify_rows(w, k: int) -> np.ndarray:
 
 
 def symmetric_normalize(w) -> np.ndarray:
-    """Degree-normalize a symmetric nonnegative matrix: D^-1/2 W D^-1/2.
+    """Degree-normalize a symmetric nonnegative matrix in place: D^-1/2 W D^-1/2.
 
-    Rows with zero degree map to zero rows rather than dividing by zero.
+    A float64 array argument is overwritten with the result, which is also
+    returned; other inputs are converted to a new array first. Rows with
+    zero degree map to zero rows rather than dividing by zero. The checks
+    (square, finite, nonnegative, symmetric) and the scaling walk the matrix
+    in row blocks, so no n x n temporary is made. The degrees are sums over
+    the full dense rows: summing only the nonzeros would round differently.
     """
-    w = require_matrix(w, "weights")
-    if w.shape[0] != w.shape[1]:
+    w = np.asarray(w, dtype=np.float64)
+    if w.ndim != 2 or w.shape[0] != w.shape[1]:
         raise ValueError(f"matrix must be square, got {w.shape}")
-    if np.any(w < 0.0):
-        raise ValueError("negative entry; weights must be nonnegative")
-    if not np.array_equal(w, w.T):
-        raise ValueError("matrix must be symmetric")
+    n = w.shape[0]
+    rows = _block_rows(n)
+    for start in range(0, n, rows):
+        block = w[start : start + rows]
+        if not np.all(np.isfinite(block)):
+            raise ValueError("weights contains non-finite entries")
+        if np.any(block < 0.0):
+            raise ValueError("negative entry; weights must be nonnegative")
+        if not np.array_equal(block[:, start:], w[start:, start : start + rows].T):
+            raise ValueError("matrix must be symmetric")
     degree = w.sum(axis=1)
     positive = degree > 0.0
     inv_sqrt = np.zeros_like(degree)
     inv_sqrt[positive] = 1.0 / np.sqrt(degree[positive])
-    # outer() keeps the scaling factor bitwise symmetric.
-    return w * np.outer(inv_sqrt, inv_sqrt)
+    for start in range(0, n, rows):
+        # outer() keeps the scaling factor bitwise symmetric.
+        w[start : start + rows] *= np.outer(inv_sqrt[start : start + rows], inv_sqrt)
+    return w
 
 
 def sparse_cg_solve(rows, cols, vals, b, rtol: float, max_iter: int) -> np.ndarray:

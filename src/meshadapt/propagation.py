@@ -5,7 +5,10 @@ labeled rows first, then augmented seed rows (unlabeled rows promoted to
 seeds on the strength of a confident prediction), then the remaining
 unlabeled rows. Edge weights are ``exp(cosine similarity)`` sparsified to
 the k strongest neighbours per row, symmetrised, and degree-normalised,
-which keeps the spectral radius at 1. The damped system
+which keeps the spectral radius at 1. The whole build happens in place in
+the one n x n array that ``linalg.cosine_similarity_matrix`` returns, one
+block of rows at a time, with the same bits as a build that makes a new
+n x n array at every stage. The damped system
 ``(I - alpha * W) Z = Y`` is then symmetric positive definite with
 eigenvalues in [1 - alpha, 1 + alpha] for any ``alpha`` in (0, 1), and
 conjugate gradient solves it over the k-NN nonzeros of ``W``.
@@ -112,12 +115,22 @@ def build_graph(
     if not 0 <= n_labeled <= n_seeds:
         raise ValueError(f"n_labeled must be in [0, {n_seeds}], got {n_labeled}")
 
-    sim = linalg.cosine_similarity_matrix(features)
-    weights = np.exp(sim)
-    np.fill_diagonal(weights, 0.0)
-    weights = linalg.topk_sparsify_rows(weights, k_hat)
-    weights = (weights + weights.T) / 2.0
-    w_norm = linalg.symmetric_normalize(weights)
+    # One n x n buffer: the cosine matrix becomes w_norm in place, one block
+    # of rows at a time, and every other temporary is one block in size.
+    w = linalg.cosine_similarity_matrix(features)
+    rows = max(1, linalg.MATMUL_BLOCK_ELEMENTS // n)
+    for start in range(0, n, rows):
+        block = w[start : start + rows]
+        np.exp(block, out=block)
+        np.fill_diagonal(block[:, start:], 0.0)
+        block[...] = linalg.topk_sparsify_rows(block, k_hat)
+    # Symmetrise: (w[i, j] + w[j, i]) / 2 is the same sum from either side.
+    for start in range(0, n, rows):
+        stop = start + rows
+        upper = (w[start:stop, start:] + w[start:, start:stop].T) / 2.0
+        w[start:stop, start:] = upper
+        w[start:, start:stop] = upper.T
+    w_norm = linalg.symmetric_normalize(w)
 
     seed_labels = np.zeros((n, num_classes))
     seed_rows = np.arange(n_seeds)
@@ -159,13 +172,15 @@ def propagate(graph: PropagationGraph, alpha: float) -> PropagationResult:
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
     n = graph.w_norm.shape[0]
-    rows, cols = np.nonzero(graph.w_norm)
+    # One flat scan gives the nonzeros in the row-major order of np.nonzero.
+    edges = np.flatnonzero(graph.w_norm)
+    rows, cols = np.divmod(edges, n)
     diagonal = np.arange(n)
     try:
         scores = linalg.sparse_cg_solve(
             np.concatenate([rows, diagonal]),
             np.concatenate([cols, diagonal]),
-            np.concatenate([-alpha * graph.w_norm[rows, cols], np.ones(n)]),
+            np.concatenate([-alpha * graph.w_norm.ravel()[edges], np.ones(n)]),
             graph.seed_labels,
             CG_RTOL,
             _cg_budget(alpha),

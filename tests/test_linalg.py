@@ -8,6 +8,8 @@ conjugate-gradient solver. Kernels promise bit-identical results, so their
 oracle comparisons are on bytes (``tobytes``), which tells -0.0 from 0.0.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -217,10 +219,30 @@ class TestMatmul:
         assert_same_bits(matmul(a, b), expected)
         assert_same_bits(matmul(b.T, a.T), triple_loop_matmul(b.T, a.T))
 
+    @pytest.mark.parametrize("shape", [(64, 8, 4), (64, 32, 8), (8, 64, 4)])
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    @pytest.mark.parametrize("zero_fraction", [0.0, 0.5, 1.0])
+    def test_reduce_with_fewer_columns_than_rows(self, shape, layout, zero_fraction):
+        # the reduce runs on b.T by a.T so the longer side is its inner loop,
+        # and must hand back a C-contiguous array: a transposed view would
+        # sum its columns pairwise in a later sum(axis=0)
+        m, k, n = shape
+        assert 1 < n < m and m * k * n <= MATMUL_REDUCE_MAX_ELEMENTS
+        rng = np.random.default_rng(m * 10_000 + k * 100 + n)
+        a = with_layout(random_factor(rng, (m, k), zero_fraction), layout)
+        b = with_layout(random_factor(rng, (k, n), zero_fraction), layout)
+        out = matmul(a, b)
+        expected = triple_loop_matmul(a, b)
+        assert out.flags.c_contiguous
+        assert_same_bits(out, expected)
+        assert_same_bits(out.sum(axis=0), expected.sum(axis=0))
+
     @given(matrix_pairs())
     def test_property_matches_triple_loop(self, pair):
         a, b = pair
-        assert_same_bits(matmul(a, b), triple_loop_matmul(a, b))
+        out = matmul(a, b)
+        assert out.flags.c_contiguous
+        assert_same_bits(out, triple_loop_matmul(a, b))
 
 
 class TestRowSoftmax:
@@ -414,6 +436,48 @@ class TestSymmetricNormalize:
     def test_rejects_non_square(self):
         with pytest.raises(ValueError, match="square"):
             symmetric_normalize(np.zeros((2, 3)))
+        with pytest.raises(ValueError, match="square"):
+            symmetric_normalize(np.zeros(4))
+
+    def test_normalizes_in_place(self):
+        rng = np.random.default_rng(43)
+        a = rng.uniform(0, 1, size=(5, 5))
+        w = (a + a.T) / 2.0
+        degree = w.sum(axis=1)
+        expected = w * np.outer(1.0 / np.sqrt(degree), 1.0 / np.sqrt(degree))
+        out = symmetric_normalize(w)
+        assert out is w
+        assert_same_bits(out, expected)
+
+    @pytest.mark.parametrize(
+        "fault, message",
+        [("asymmetric", "symmetric"), ("negative", "nonnegative"), ("nan", "non-finite")],
+    )
+    def test_rejects_faults_in_later_row_blocks(self, fault, message):
+        # n = 300 is walked in blocks of 109 rows; the fault sits in the last
+        n = 300
+        w = np.ones((n, n))
+        if fault == "asymmetric":
+            w[250, 240] = 2.0
+        else:
+            w[250, 240] = w[240, 250] = -1.0 if fault == "negative" else np.nan
+        with pytest.raises(ValueError, match=message):
+            symmetric_normalize(w)
+
+    def test_allocates_no_n_by_n_temporary(self):
+        n = 1204
+        a = np.random.default_rng(47).uniform(0, 1, size=(n, n))
+        w = (a + a.T) / 2.0
+        del a
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            symmetric_normalize(w)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # smaller than even an n x n boolean mask
+        assert peak < n * n
 
 
 class TestSolveLinear:

@@ -4,11 +4,14 @@ Three independent oracles check the conjugate-gradient solver path: the
 damped fixed-point iteration ``propagate_iterative_oracle`` defined here
 (Neumann series, converges geometrically), the dense elimination
 ``linalg.solve_linear``, and a hand-solved two-node system.
+``dense_graph_oracle`` is the graph build with a full n x n array at every
+stage; the in-place, row-blocked ``build_graph`` must match it by bytes.
 Graph-construction invariants are exercised directly on the returned
 weight matrix.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -41,6 +44,54 @@ def propagate_iterative_oracle(
     for _ in range(iters):
         scores = alpha * linalg.matmul(graph.w_norm, scores) + graph.seed_labels
     return scores
+
+
+def dense_graph_oracle(features, k_hat: int) -> np.ndarray:
+    """Reference ``w_norm``: cosine, exp, top-k, symmetrise and normalise,
+    each stage a new n x n array computed over the whole matrix at once."""
+    x = np.asarray(features, dtype=np.float64)
+    unit = x / np.sqrt((x * x).sum(axis=1))[:, None]
+    sim = linalg.matmul(unit, unit.T)
+    np.fill_diagonal(sim, 1.0)
+    sim = np.clip(sim, -1.0, 1.0)
+    weights = np.exp(sim)
+    np.fill_diagonal(weights, 0.0)
+    weights = linalg.topk_sparsify_rows(weights, k_hat)
+    weights = (weights + weights.T) / 2.0
+    degree = weights.sum(axis=1)
+    positive = degree > 0.0
+    inv_sqrt = np.zeros_like(degree)
+    inv_sqrt[positive] = 1.0 / np.sqrt(degree[positive])
+    return weights * np.outer(inv_sqrt, inv_sqrt)
+
+
+def tied_features(n: int, seed: int, relu: bool) -> np.ndarray:
+    """Bottleneck-like rows with duplicates spread over the row blocks.
+
+    Rows 0-4 repeat at the end and in the middle, and row 1 repeats every
+    37 rows, so many rows see crowded ties for their last top-k slots. The
+    ``relu`` variant has exact zeros, so some cosines are exactly 0.
+    """
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, 8))
+    if relu:
+        x = np.maximum(x, 0.0)
+        x[:, 0] = np.abs(x[:, 0]) + 0.1  # no zero-norm rows
+    if n >= 50:
+        x[n - 5 :] = x[:5]
+        x[n // 2 : n // 2 + 5] = x[:5]
+        x[37::37] = x[1]
+    return x
+
+
+# n = 181 is one full block (32768 // 181 = 181 rows); 182 and 604 end in a
+# short block (180 + 2, 11 * 54 + 10 rows).
+GRAPH_CASES = [
+    (n, k)
+    for n in (2, 3, 50, 181, 182, 604)
+    for k in (1, 2, 3, 10)
+    if k < n
+]
 
 
 def random_graph(seed, n=30, num_classes=3, k_hat=5, n_labeled=6):
@@ -119,6 +170,55 @@ class TestBuildGraph:
             build_graph(features, np.array([5, -1, -1, -1]), num_classes=2, k_hat=2)
         with pytest.raises(ValueError, match="k_hat"):
             build_graph(features, classes, num_classes=2, k_hat=0)
+
+
+class TestBlockedGraphBuild:
+    @pytest.mark.parametrize("n, k_hat", GRAPH_CASES)
+    @pytest.mark.parametrize("relu", [False, True])
+    def test_w_norm_matches_dense_oracle_bytes(self, n, k_hat, relu):
+        features = tied_features(n, seed=n * 10 + k_hat, relu=relu)
+        classes = np.full(n, -1)
+        classes[0] = 0
+        graph = build_graph(features, classes, num_classes=2, k_hat=k_hat)
+        expected = dense_graph_oracle(features, k_hat)
+        assert graph.w_norm.flags.c_contiguous
+        assert graph.w_norm.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("n", [2, 3, 50, 182, 604])
+    def test_cosine_matches_full_product_bytes(self, n):
+        features = tied_features(n, seed=n, relu=True)
+        x = features
+        unit = x / np.sqrt((x * x).sum(axis=1))[:, None]
+        expected = linalg.matmul(unit, unit.T)
+        np.fill_diagonal(expected, 1.0)
+        expected = np.clip(expected, -1.0, 1.0)
+        assert linalg.cosine_similarity_matrix(features).tobytes() == expected.tobytes()
+
+    def test_crowded_ties_across_blocks(self):
+        # 20 copies of one row spread over all 12 blocks of n = 604: each
+        # copy sees 19 exact ties for its 3 slots and keeps the lowest indices
+        features = tied_features(604, seed=3, relu=False)
+        copies = np.arange(0, 604, 31)
+        features[copies] = features[7]
+        classes = np.full(604, -1)
+        classes[0] = 0
+        graph = build_graph(features, classes, num_classes=2, k_hat=3)
+        assert graph.w_norm.tobytes() == dense_graph_oracle(features, 3).tobytes()
+
+    def test_traced_peak_is_about_one_n_by_n_array(self):
+        n = 1204
+        features = np.random.default_rng(0).standard_normal((n, 8))
+        classes = np.full(n, -1)
+        classes[:10] = np.arange(10) % 2
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            graph = build_graph(features, classes, num_classes=2, k_hat=10)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert graph.w_norm.shape == (n, n)
+        assert peak <= 1.25 * n * n * 8
 
 
 class TestPropagate:
