@@ -313,8 +313,12 @@ def load_dataset(path) -> Dataset:
         raise DatasetFormatError(f"{path}: no sample rows")
     if len(domains) != 1:
         raise DatasetFormatError(f"{path}: rows mix domain tags {sorted(domains)}")
+    features = np.array(features, dtype=np.float64)
+    bad_rows = np.flatnonzero(~np.isfinite(features).all(axis=1))
+    if bad_rows.size:
+        raise DatasetFormatError(f"{path}: line {bad_rows[0] + 2}: non-finite feature")
     return Dataset(
-        features=np.array(features, dtype=np.float64),
+        features=features,
         labels=np.array(labels, dtype=np.int64),
         truth=np.array(truth, dtype=np.int64),
         domain=domains.pop(),

@@ -1,9 +1,17 @@
 """Float64 linear algebra kernels with deterministic semantics.
 
-Every public function works on 2-D ``numpy`` arrays of ``float64`` (the
-sparse solver takes its matrix as 1-D coordinate arrays) and is written so
-that repeated runs on the same machine produce bit-identical results, with
-no BLAS dispatch anywhere:
+Every kernel takes 2-D ``numpy`` arrays of ``float64`` (the sparse solver
+takes its matrix as 1-D coordinate arrays) and is written so that repeated
+runs on the same machine produce bit-identical results, with no BLAS
+dispatch anywhere.
+
+Validation lives at the package boundary: ``require_matrix`` runs where
+outside data enters (``data.Dataset``, ``model.forward`` and
+``model.mc_dropout_predict``, ``propagation.build_graph``). The kernels and
+the losses trust the float64 arrays the package computes from that data:
+they check shapes and parameter ranges and scan no entry for finiteness. A
+value that turns non-finite mid-training is caught by the training loops'
+per-step loss guards.
 
 - ``matmul`` accumulates each output entry in the fixed order k = 0, 1, ...
   over the inner dimension, starting from +0.0. It has two paths that give
@@ -103,8 +111,6 @@ def matmul(a, b) -> np.ndarray:
     large graph products, where the loop is faster, on the loop. Swapping in
     a BLAS call changes rounding and breaks reproducibility tests.
     """
-    a = require_matrix(a, "a")
-    b = require_matrix(b, "b")
     if a.shape[1] != b.shape[0]:
         raise ValueError(f"matmul shape mismatch: {a.shape} by {b.shape}")
     m, inner = a.shape
@@ -133,8 +139,7 @@ def _reduce_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def row_softmax(logits) -> np.ndarray:
     """Softmax each row with per-row max subtraction for stability."""
-    z = require_matrix(logits, "logits")
-    shifted = z - z.max(axis=1, keepdims=True)
+    shifted = logits - logits.max(axis=1, keepdims=True)
     e = np.exp(shifted)
     return e / e.sum(axis=1, keepdims=True)
 
@@ -151,7 +156,6 @@ def cosine_similarity_matrix(x) -> np.ndarray:
     The result is the only n x n array the caller needs to allocate:
     ``propagation.build_graph`` transforms it in place.
     """
-    x = require_matrix(x, "features")
     norms = np.sqrt((x * x).sum(axis=1))
     if np.any(norms <= NORM_TOL):
         bad = int(np.flatnonzero(norms <= NORM_TOL)[0])
@@ -181,7 +185,6 @@ def topk_sparsify_rows(w, k: int) -> np.ndarray:
     entries equal to it. Kept entries are copied bitwise (-0.0 included);
     the rest become +0.0.
     """
-    w = require_matrix(w, "weights")
     n_cols = w.shape[1]
     if not 1 <= k < n_cols:
         raise ValueError(f"k must satisfy 1 <= k < {n_cols}, got {k}")
@@ -204,26 +207,18 @@ def topk_sparsify_rows(w, k: int) -> np.ndarray:
 def symmetric_normalize(w) -> np.ndarray:
     """Degree-normalize a symmetric nonnegative matrix in place: D^-1/2 W D^-1/2.
 
-    A float64 array argument is overwritten with the result, which is also
-    returned; other inputs are converted to a new array first. Rows with
-    zero degree map to zero rows rather than dividing by zero. The checks
-    (square, finite, nonnegative, symmetric) and the scaling walk the matrix
-    in row blocks, so no n x n temporary is made. The degrees are sums over
-    the full dense rows: summing only the nonzeros would round differently.
+    ``w`` is a float64 array, overwritten with the result, which is also
+    returned. The caller guarantees that it is finite, nonnegative and
+    symmetric (``propagation.build_graph`` has just built it so); only
+    squareness is checked. Rows with zero degree map to zero rows rather
+    than dividing by zero. The scaling walks the matrix in row blocks, so no
+    n x n temporary is made. The degrees are sums over the full dense rows:
+    summing only the nonzeros would round differently.
     """
-    w = np.asarray(w, dtype=np.float64)
     if w.ndim != 2 or w.shape[0] != w.shape[1]:
         raise ValueError(f"matrix must be square, got {w.shape}")
     n = w.shape[0]
     rows = _block_rows(n)
-    for start in range(0, n, rows):
-        block = w[start : start + rows]
-        if not np.all(np.isfinite(block)):
-            raise ValueError("weights contains non-finite entries")
-        if np.any(block < 0.0):
-            raise ValueError("negative entry; weights must be nonnegative")
-        if not np.array_equal(block[:, start:], w[start:, start : start + rows].T):
-            raise ValueError("matrix must be symmetric")
     degree = w.sum(axis=1)
     positive = degree > 0.0
     inv_sqrt = np.zeros_like(degree)
@@ -251,7 +246,6 @@ def sparse_cg_solve(rows, cols, vals, b, rtol: float, max_iter: int) -> np.ndarr
     iterations, or when a step meets non-positive curvature (``a`` is not
     positive definite).
     """
-    b = require_matrix(b, "b")
     n = b.shape[0]
     x = np.zeros_like(b)
     for c in range(b.shape[1]):

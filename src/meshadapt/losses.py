@@ -61,22 +61,19 @@ def cross_entropy(p, targets) -> tuple[float, np.ndarray]:
     ``targets`` rows may carry any nonnegative mass (one-hot or smoothed);
     the gradient accounts for rows whose mass differs from 1.
     """
-    p = linalg.require_matrix(p, "p")
-    y = linalg.require_matrix(targets, "targets")
-    if p.shape != y.shape:
-        raise ValueError(f"p {p.shape} and targets {y.shape} differ in shape")
+    if p.shape != targets.shape:
+        raise ValueError(f"p {p.shape} and targets {targets.shape} differ in shape")
     batch = p.shape[0]
     if batch == 0:
         raise ValueError("empty batch")
-    loss = float(-(y * _safe_log(p)).sum(axis=1).mean())
-    row_mass = y.sum(axis=1, keepdims=True)
-    dlogits = (p * row_mass - y) / batch
+    loss = float(-(targets * _safe_log(p)).sum(axis=1).mean())
+    row_mass = targets.sum(axis=1, keepdims=True)
+    dlogits = (p * row_mass - targets) / batch
     return loss, dlogits
 
 
 def entropy_loss(p) -> tuple[float, np.ndarray]:
     """Mean Shannon entropy of the prediction rows (to be minimised)."""
-    p = linalg.require_matrix(p, "p")
     if p.shape[0] == 0:
         raise ValueError("empty batch")
     batch = p.shape[0]
@@ -89,7 +86,6 @@ def entropy_loss(p) -> tuple[float, np.ndarray]:
 
 def pseudo_ce_loss(p, pseudo) -> tuple[float, np.ndarray]:
     """One-hot cross entropy against integer pseudo labels."""
-    p = linalg.require_matrix(p, "p")
     pseudo = np.asarray(pseudo)
     if pseudo.ndim != 1 or pseudo.shape[0] != p.shape[0]:
         raise ValueError("pseudo labels must be 1-D and match the batch")
@@ -102,8 +98,6 @@ def pseudo_ce_loss(p, pseudo) -> tuple[float, np.ndarray]:
 
 def kl_divergence(p, q) -> float:
     """Mean KL(p || q) over rows with q clamped away from zero."""
-    p = linalg.require_matrix(p, "p")
-    q = linalg.require_matrix(q, "q")
     if p.shape != q.shape:
         raise ValueError(f"p {p.shape} and q {q.shape} differ in shape")
     if p.shape[0] == 0:
@@ -118,7 +112,6 @@ def diversity_loss(p) -> tuple[float, np.ndarray]:
     Minimal (-log K) when the batch covers the classes uniformly, so adding
     it discourages collapse of all predictions onto one class.
     """
-    p = linalg.require_matrix(p, "p")
     if p.shape[0] == 0:
         raise ValueError("empty batch")
     batch = p.shape[0]
@@ -184,7 +177,6 @@ def vat_loss(
     ``probe`` overrides the random initial direction (its scale is irrelevant
     because of the normalisation); it exists for reproducibility experiments.
     """
-    x = linalg.require_matrix(x, "x")
     if x.shape[0] == 0:
         raise ValueError("empty batch")
     if eps_vat <= 0.0:
@@ -198,18 +190,14 @@ def vat_loss(
 
     if p_ref is None:
         p_ref = linalg.row_softmax(model.forward(params, x)[0])
-    else:
-        p_ref = linalg.require_matrix(p_ref, "p_ref")
-        if p_ref.shape != (x.shape[0], params.classifier.weight.shape[1]):
-            raise ValueError("p_ref must hold one prediction row per row of x")
+    elif p_ref.shape != (x.shape[0], params.classifier.weight.shape[1]):
+        raise ValueError("p_ref must hold one prediction row per row of x")
     batch = x.shape[0]
 
     if probe is None:
         probe = np.random.default_rng(seed).standard_normal(x.shape)
-    else:
-        probe = linalg.require_matrix(probe, "probe")
-        if probe.shape != x.shape:
-            raise ValueError("probe must match the shape of x")
+    elif probe.shape != x.shape:
+        raise ValueError("probe must match the shape of x")
     direction = _normalize_rows(probe, fallback=None)
 
     for _ in range(power_iters):

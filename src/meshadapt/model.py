@@ -238,7 +238,6 @@ def backward(
     ``param_grads=False`` skips every parameter gradient as if all groups
     were frozen. Whatever is computed has the same bits as in a full pass.
     """
-    dlogits = linalg.require_matrix(dlogits, "dlogits")
     if len(cache.encoder_inputs) != len(params.encoder):
         raise ValueError("cache does not match model: encoder depth differs")
     if dlogits.shape != cache.logits.shape:
@@ -387,6 +386,11 @@ def load_model(path) -> ModelParams:
         )
         if mat.shape != (rows, cols):
             raise ValueError(f"{path}: tensor {name} has wrong shape")
+        bad_rows = np.flatnonzero(~np.isfinite(mat).all(axis=1))
+        if bad_rows.size:
+            raise ValueError(
+                f"{path}: non-finite entry in tensor {name} on line {cursor + 2 + bad_rows[0]}"
+            )
         tensors[name] = mat
         cursor += 1 + rows
 

@@ -84,22 +84,24 @@ def build_graph(
 ) -> PropagationGraph:
     """Assemble the propagation graph for one epoch.
 
-    ``seed_classes`` holds one entry per row: a class index for seed rows
-    and -1 (or None) for unlabeled rows. Seed rows must form a prefix of the
-    node order; ``n_labeled`` says how many of them carry ground truth (the
-    rest of the prefix are augmented seeds) and defaults to all of them.
+    ``seed_classes`` is a 1-D integer array with one entry per row: a class
+    index for seed rows and -1 for unlabeled rows. Seed rows must form a
+    prefix of the node order; ``n_labeled`` says how many of them carry
+    ground truth (the rest of the prefix are augmented seeds) and defaults
+    to all of them.
     """
     features = linalg.require_matrix(features, "features")
     n = features.shape[0]
-    classes = np.array(
-        [-1 if c is None else int(c) for c in np.asarray(seed_classes, dtype=object)],
-        dtype=np.int64,
-    )
+    classes = np.asarray(seed_classes)
+    if classes.ndim != 1 or not np.issubdtype(classes.dtype, np.integer):
+        raise ValueError(
+            f"seed_classes must be a 1-D integer array, got ndim={classes.ndim} {classes.dtype}"
+        )
     if classes.shape[0] != n:
         raise ValueError("seed_classes must give one entry per feature row")
     if num_classes < 2:
         raise ValueError(f"num_classes must be >= 2, got {num_classes}")
-    if np.any(classes >= num_classes):
+    if np.any((classes < -1) | (classes >= num_classes)):
         raise ValueError("seed class out of range")
     if k_hat < 1:
         raise ValueError(f"k_hat must be >= 1, got {k_hat}")

@@ -248,6 +248,13 @@ class _MomentumSGD:
             _sgd_step(_group(self._params, g), total, self._velocity[g], lr, self._momentum)
 
 
+def _require_finite(where: str, terms: dict) -> None:
+    """Raise naming ``where`` and the term when a loss or its logit gradient is not finite."""
+    for name, (value, dlogits) in terms.items():
+        if not (math.isfinite(value) and np.all(np.isfinite(dlogits))):
+            raise ValueError(f"{where}: loss term {name} is not finite (value {value!r})")
+
+
 def pretrain_source(
     net: model.ModelParams, source: Dataset, cfg: AdaptConfig
 ) -> model.ModelParams:
@@ -255,7 +262,9 @@ def pretrain_source(
 
     Minimises label-smoothed cross entropy with momentum SGD over the rows
     tagged ``train``; the returned parameters are the snapshot with the best
-    accuracy on the ``val`` rows (earliest epoch wins ties).
+    accuracy on the ``val`` rows (earliest epoch wins ties). A loss value or
+    logit gradient that is not finite raises ``ValueError`` naming the epoch,
+    the step and the term ``l_src``.
     """
     train = source.subset("train")
     val = source.subset("val")
@@ -273,13 +282,14 @@ def pretrain_source(
 
     best_acc = -1.0
     best_params = params.copy()
-    for _ in range(cfg.pretrain_epochs):
+    for epoch in range(1, cfg.pretrain_epochs + 1):
         order = rng.permutation(train.n)
-        for start in range(0, train.n, cfg.batch_size):
+        for step, start in enumerate(range(0, train.n, cfg.batch_size), start=1):
             batch = order[start : start + cfg.batch_size]
             logits, cache = model.forward(params, train.features[batch])
             proba = linalg.row_softmax(logits)
-            _, dlogits = losses.cross_entropy(proba, smoothed[batch])
+            loss, dlogits = losses.cross_entropy(proba, smoothed[batch])
+            _require_finite(f"pretrain epoch {epoch}, step {step}", {"l_src": (loss, dlogits)})
             sgd.step([model.backward(params, cache, dlogits, input_grad=False)])
         acc = evaluate(params, val)
         if acc > best_acc:
@@ -345,13 +355,6 @@ def _refresh_pseudo_labels(
     return pseudo, pseudo_acc, seed_acc
 
 
-def _require_finite(where: str, terms: dict) -> None:
-    """Raise naming ``where`` and the term when a loss or its logit gradient is not finite."""
-    for name, (value, dlogits) in terms.items():
-        if not (math.isfinite(value) and np.all(np.isfinite(dlogits))):
-            raise ValueError(f"{where}: loss term {name} is not finite (value {value!r})")
-
-
 def _train_step(
     params: model.ModelParams,
     sgd: _MomentumSGD,
@@ -360,7 +363,6 @@ def _train_step(
     yb_l: np.ndarray,
     xb_u: np.ndarray | None,
     pseudo_u: np.ndarray | None,
-    vat_xi: float,
     rng: np.random.Generator,
     where: str,
 ) -> losses.LossBundle:
@@ -394,7 +396,7 @@ def _train_step(
         if proba_u is None:
             proba_u = linalg.row_softmax(model.forward(params, xb_u)[0])
         vat_result = losses.vat_loss(
-            params, np.vstack([xb_l, xb_u]), cfg.eps_vat, xi=vat_xi,
+            params, np.vstack([xb_l, xb_u]), cfg.eps_vat, xi=cfg.vat_xi,
             power_iters=cfg.vat_power_iters, seed=int(rng.integers(0, 2**63 - 1)),
             p_ref=np.vstack([proba_l, proba_u]),
         )
@@ -465,7 +467,6 @@ def adapt(
     rng = np.random.default_rng(cfg.seed)
     labeled_cycler = _Cycler(r, rng)
     steps = cfg.steps_per_epoch or math.ceil(m / cfg.batch_size)
-    vat_xi = cfg.vat_xi if cfg.vat_xi is not None else 1e-6 * np.sqrt(x_labeled.shape[1])
     sgd = _MomentumSGD(params, cfg)
     need_unlabeled_batch = not (cfg.no_ent and cfg.no_ps and cfg.no_div and cfg.no_vat)
 
@@ -501,7 +502,7 @@ def adapt(
                     pseudo_u = pseudo[batch_u]
             bundle = _train_step(
                 params, sgd, cfg, x_labeled[batch_l], y_labeled[batch_l], xb_u, pseudo_u,
-                vat_xi, rng, f"epoch {epoch}, step {step}",
+                rng, f"epoch {epoch}, step {step}",
             )
             for name in _LOSS_FIELDS:
                 sums[name] += getattr(bundle, name)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg, model
+from . import model
 from .losses import LOG_FLOOR
 
 
@@ -37,8 +37,7 @@ def estimate_uncertainty(
     dropout_rate: float,
     seed: int,
 ) -> UncertaintyReport:
-    x = linalg.require_matrix(x, "x")
-    if x.shape[0] == 0:
+    if len(x) == 0:
         raise ValueError("empty batch")
     mean_proba = model.mc_dropout_predict(params, x, passes, dropout_rate, seed)
     plogp = np.where(mean_proba > 0.0, mean_proba * np.log(np.maximum(mean_proba, LOG_FLOOR)), 0.0)

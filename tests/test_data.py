@@ -346,6 +346,9 @@ class TestStorageRoundTrip:
             "range": ("2\t2\n1.0\t2.0\t5\tsource\ttrain\n", "out of range"),
             "hidden": ("2\t2\n1.0\t2.0\t-1\tsource\ttrain\n", "only valid on unlabeled"),
             "norows": ("2\t2\n", "no sample rows"),
+            "nan": ("2\t2\n1.0\t2.0\t0\tsource\ttrain\nnan\t2.0\t0\tsource\ttrain\n",
+                    r"nan\.tsv: line 3: non-finite feature"),
+            "inf": ("2\t2\n1.0\t-inf\t0\tsource\ttrain\n", r"inf\.tsv: line 2: non-finite feature"),
             "mixed": (
                 "2\t2\n1.0\t2.0\t0\tsource\ttrain\n1.0\t2.0\t0\ttarget\ttrain\n",
                 "mix domain",

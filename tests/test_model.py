@@ -383,6 +383,15 @@ class TestCheckpointRoundTrip:
         with pytest.raises(ValueError, match=r"model\.txt: unknown frozen group 'head' on line 3"):
             load_model(path)
 
+    @pytest.mark.parametrize("token", ["nan", "inf"])
+    def test_non_finite_entry_rejected(self, tmp_path, token):
+        # line 7 is the second of the three rows of encoder.0.weight (3 x 6)
+        path = self._edited_checkpoint(tmp_path, 6, " ".join([token] * 6))
+        with pytest.raises(
+            ValueError, match=r"model\.txt: non-finite entry in tensor encoder\.0\.weight on line 7"
+        ):
+            load_model(path)
+
     def test_missing_file_errors(self, tmp_path):
         with pytest.raises(OSError):
             load_model(tmp_path / "absent.txt")

@@ -168,8 +168,13 @@ class TestBuildGraph:
             build_graph(features, classes, num_classes=1, k_hat=2)
         with pytest.raises(ValueError, match="out of range"):
             build_graph(features, np.array([5, -1, -1, -1]), num_classes=2, k_hat=2)
+        with pytest.raises(ValueError, match="out of range"):
+            build_graph(features, np.array([0, -2, -1, -1]), num_classes=2, k_hat=2)
         with pytest.raises(ValueError, match="k_hat"):
             build_graph(features, classes, num_classes=2, k_hat=0)
+        for bad in (classes[None, :], classes.astype(np.float64), [0, None, None, None]):
+            with pytest.raises(ValueError, match="1-D integer array"):
+                build_graph(features, bad, num_classes=2, k_hat=2)
 
 
 class TestBlockedGraphBuild:
@@ -181,8 +186,14 @@ class TestBlockedGraphBuild:
         classes[0] = 0
         graph = build_graph(features, classes, num_classes=2, k_hat=k_hat)
         expected = dense_graph_oracle(features, k_hat)
-        assert graph.w_norm.flags.c_contiguous
-        assert graph.w_norm.tobytes() == expected.tobytes()
+        w = graph.w_norm
+        assert w.flags.c_contiguous
+        assert w.tobytes() == expected.tobytes()
+        # symmetric_normalize trusts its caller for these; hold the build to them
+        assert np.all(np.isfinite(w))
+        assert np.all(w >= 0.0)
+        assert w.tobytes() == np.ascontiguousarray(w.T).tobytes()
+        assert not np.any(np.diagonal(w))
 
     @pytest.mark.parametrize("n", [2, 3, 50, 182, 604])
     def test_cosine_matches_full_product_bytes(self, n):

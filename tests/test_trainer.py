@@ -213,6 +213,17 @@ class TestPretrainSource:
         assert fitted.encoder[0].weight.tobytes() == net.encoder[0].weight.tobytes()
         assert not np.array_equal(fitted.bottleneck.weight, net.bottleneck.weight)
 
+    def test_divergence_names_epoch_step_and_term(self, task):
+        source, _ = task
+        cfg = small_cfg(lr_encoder=1e200, lr_bottleneck=1e200, lr_classifier=1e200)
+        net = model.init_model(cfg.model_dims(source.n_features, source.num_classes), seed=0)
+        # the first step blows the weights up; the second forward overflows
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(
+                ValueError, match=r"^pretrain epoch 1, step 2: loss term l_src is not finite"
+            ):
+                pretrain_source(net, source, cfg)
+
     def test_needs_train_and_val_rows(self, task):
         _, target = task
         cfg = small_cfg()
