@@ -18,6 +18,8 @@ from pathlib import Path
 from types import UnionType
 from typing import get_args, get_type_hints
 
+import numpy as np
+
 from . import data, experiments, model, trainer
 
 
@@ -289,7 +291,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # a diverging run overflows before a loss guard names it; the guard reports
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.func(args)
     except Exception as exc:  # single-line error contract
         message = " ".join(str(exc).split()) or exc.__class__.__name__
         print(f"error: {message}", file=sys.stderr)

@@ -20,7 +20,6 @@ iteration on input gradients; the clean branch is held constant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -203,10 +202,8 @@ def vat_loss(
     for _ in range(power_iters):
         logits_probe, cache_probe = model.forward(params, x + xi * direction)
         q_probe = linalg.row_softmax(logits_probe)
-        grads = model.backward(
-            params, cache_probe, (q_probe - p_ref) / batch, param_grads=False
-        )
-        direction = _normalize_rows(grads.input_grad, fallback=direction)
+        _, d_x = model.backward(params, cache_probe, (q_probe - p_ref) / batch, param_grads=False)
+        direction = _normalize_rows(d_x, fallback=direction)
 
     perturbation = eps_vat * direction
     logits_adv, cache_adv = model.forward(params, x + perturbation)
@@ -214,67 +211,3 @@ def vat_loss(
     loss = kl_divergence(p_ref, q_adv)
     dlogits = (q_adv - p_ref) / batch
     return VatResult(loss, perturbation, dlogits, cache_adv)
-
-
-@dataclass
-class LossBundle:
-    """Scalar components of one training step plus combined gradient seeds.
-
-    ``l_ps`` is the raw pseudo-label loss; the weighting by ``lambda0``
-    happens only inside ``l_reg``/``l_total`` and the unlabeled seed.
-    """
-
-    l_lab: float
-    l_ent: float
-    l_ps: float
-    l_vadv: float
-    l_div: float
-    l_reg: float
-    l_total: float
-    dlogits_labeled: np.ndarray | None
-    dlogits_unlabeled: np.ndarray | None
-
-
-def total_reg(
-    labeled: tuple[float, np.ndarray] | None,
-    entropy: tuple[float, np.ndarray] | None,
-    pseudo: tuple[float, np.ndarray] | None,
-    vat_value: float | None,
-    diversity: tuple[float, np.ndarray] | None,
-    lambda0: float,
-) -> LossBundle:
-    """Combine per-term (loss, dlogits) pairs into one accounting record.
-
-    Absent terms (``None``) contribute zero. The unlabeled-branch seeds are
-    combined additively with the pseudo term scaled by ``lambda0``; the
-    adversarial term's gradient lives on its own branch, so only its value
-    enters here.
-    """
-    if lambda0 < 0.0:
-        raise ValueError(f"lambda0 must be nonnegative, got {lambda0}")
-
-    l_lab, dlogits_labeled = labeled if labeled is not None else (0.0, None)
-    l_ent = entropy[0] if entropy is not None else 0.0
-    l_ps = pseudo[0] if pseudo is not None else 0.0
-    l_div = diversity[0] if diversity is not None else 0.0
-    l_vadv = vat_value if vat_value is not None else 0.0
-
-    dlogits_unlabeled = None
-    for term, scale in ((pseudo, lambda0), (entropy, 1.0), (diversity, 1.0)):
-        if term is None:
-            continue
-        piece = scale * term[1]
-        dlogits_unlabeled = piece if dlogits_unlabeled is None else dlogits_unlabeled + piece
-
-    l_reg = lambda0 * l_ps + l_ent + l_vadv + l_div
-    return LossBundle(
-        l_lab=l_lab,
-        l_ent=l_ent,
-        l_ps=l_ps,
-        l_vadv=l_vadv,
-        l_div=l_div,
-        l_reg=l_reg,
-        l_total=l_lab + l_reg,
-        dlogits_labeled=dlogits_labeled,
-        dlogits_unlabeled=dlogits_unlabeled,
-    )

@@ -3,15 +3,16 @@
 The network is organised as three named parameter groups so that training
 stages can freeze them independently:
 
-* ``encoder``     one or more hidden layers with a saturating activation and
-                  inverted dropout after each hidden activation,
+* ``encoder``     one or more hidden layers with a saturating activation,
 * ``bottleneck``  a single linear projection (no activation),
 * ``classifier``  a linear layer producing class logits.
 
-Forward passes record everything needed for the backward pass, and the
-backward pass also returns the gradient with respect to the inputs, which the
-adversarial-smoothing loss needs. All randomness (initialisation, dropout
-masks) is driven by explicit integer seeds.
+``forward`` is deterministic and caches each layer's input for ``backward``,
+which returns one ``(weight, bias)`` gradient per layer in
+``ModelParams.layers()`` order plus the gradient with respect to the inputs
+(the adversarial-smoothing loss needs it). Dropout exists only inside
+``mc_dropout_predict``, the MC-dropout uncertainty score. All randomness
+(initialisation, dropout masks) is driven by explicit integer seeds.
 """
 
 from __future__ import annotations
@@ -46,13 +47,18 @@ class ModelParams:
     activation: str = "tanh"
     frozen: set[str] = field(default_factory=set)
 
+    def layers(self) -> list[tuple[str, LinearLayer]]:
+        """Every layer with its group, in forward order: encoder..., bottleneck, classifier."""
+        return [
+            *(("encoder", layer) for layer in self.encoder),
+            ("bottleneck", self.bottleneck),
+            ("classifier", self.classifier),
+        ]
+
     def dims(self) -> list[int]:
-        out = [self.encoder[0].weight.shape[0]]
-        for layer in self.encoder:
-            out.append(layer.weight.shape[1])
-        out.append(self.bottleneck.weight.shape[1])
-        out.append(self.classifier.weight.shape[1])
-        return out
+        return [self.encoder[0].weight.shape[0]] + [
+            layer.weight.shape[1] for _, layer in self.layers()
+        ]
 
     def copy(self) -> "ModelParams":
         return ModelParams(
@@ -66,31 +72,10 @@ class ModelParams:
 
 @dataclass
 class ForwardCache:
-    """Intermediate values of one forward pass, consumed by ``backward``."""
+    """One forward pass: ``inputs[i]`` fed ``params.layers()[i]``; consumed by ``backward``."""
 
-    x: np.ndarray
-    encoder_inputs: list[np.ndarray]
-    encoder_activations: list[np.ndarray]
-    dropout_masks: list[np.ndarray | None]
-    bottleneck_input: np.ndarray
-    bottleneck_out: np.ndarray
+    inputs: list[np.ndarray]
     logits: np.ndarray
-
-
-@dataclass
-class LayerGrads:
-    weight: np.ndarray
-    bias: np.ndarray
-
-
-@dataclass
-class Gradients:
-    """Per-group gradients; frozen groups carry ``None``."""
-
-    encoder: list[LayerGrads] | None
-    bottleneck: LayerGrads | None
-    classifier: LayerGrads | None
-    input_grad: np.ndarray | None  # None when ``backward`` was asked to skip it
 
 
 def init_model(dims: list[int], seed: int, activation: str = "tanh") -> ModelParams:
@@ -134,13 +119,11 @@ def _activation_grad(a: np.ndarray, activation: str) -> np.ndarray:
     return (a > 0.0).astype(np.float64)
 
 
-def _check_input(params: ModelParams, x, dropout_rate: float) -> np.ndarray:
+def _check_input(params: ModelParams, x) -> np.ndarray:
     x = linalg.require_matrix(x, "x")
     input_dim = params.encoder[0].weight.shape[0]
     if x.shape[1] != input_dim:
         raise ValueError(f"x has {x.shape[1]} columns, model expects {input_dim}")
-    if not 0.0 <= dropout_rate < 1.0:
-        raise ValueError(f"dropout_rate must be in [0, 1), got {dropout_rate}")
     return x
 
 
@@ -148,76 +131,25 @@ def _encoder_layer(layer: LinearLayer, hidden: np.ndarray, activation: str) -> n
     return _activate(linalg.matmul(hidden, layer.weight) + layer.bias, activation)
 
 
-def _dropout(
-    act: np.ndarray, rng: np.random.Generator | None, rate: float, masks: list
-) -> np.ndarray:
-    """Apply one inverted-dropout mask drawn from ``rng`` (none when it is None)."""
-    if rng is None:
-        masks.append(None)
-        return act
-    mask = (rng.random(act.shape) >= rate) / (1.0 - rate)
-    masks.append(mask)
-    return act * mask
+def forward(params: ModelParams, x) -> tuple[np.ndarray, ForwardCache]:
+    """Run the deterministic network on a batch, returning logits and a backward cache.
 
-
-def _forward_after_first_activation(
-    params: ModelParams,
-    x: np.ndarray,
-    first_act: np.ndarray,
-    rng: np.random.Generator | None,
-    dropout_rate: float,
-) -> tuple[np.ndarray, ForwardCache]:
-    """Every layer from the first encoder activation on; masks come from ``rng``."""
-    encoder_inputs = [x]
-    encoder_activations = [first_act]
-    dropout_masks: list[np.ndarray | None] = []
-    hidden = _dropout(first_act, rng, dropout_rate, dropout_masks)
-    for layer in params.encoder[1:]:
-        encoder_inputs.append(hidden)
-        act = _encoder_layer(layer, hidden, params.activation)
-        encoder_activations.append(act)
-        hidden = _dropout(act, rng, dropout_rate, dropout_masks)
-
-    bottleneck_out = linalg.matmul(hidden, params.bottleneck.weight) + params.bottleneck.bias
-    logits = linalg.matmul(bottleneck_out, params.classifier.weight) + params.classifier.bias
-    cache = ForwardCache(
-        x=x,
-        encoder_inputs=encoder_inputs,
-        encoder_activations=encoder_activations,
-        dropout_masks=dropout_masks,
-        bottleneck_input=hidden,
-        bottleneck_out=bottleneck_out,
-        logits=logits,
-    )
-    return logits, cache
-
-
-def forward(
-    params: ModelParams,
-    x,
-    dropout_rate: float = 0.0,
-    dropout_on: bool = False,
-    seed: int = 0,
-) -> tuple[np.ndarray, ForwardCache]:
-    """Run the network on a batch, returning logits and a backward cache.
-
-    Dropout uses inverted scaling (kept units multiply by 1/(1-rate)), is
-    applied after each hidden encoder activation only, and draws its masks
-    from ``numpy.random.default_rng(seed)``, one layer after the other, so a
-    fixed seed reproduces the exact same stochastic pass.
-    ``dropout_rate=0`` disables masking even when ``dropout_on`` is set.
+    Each layer's output is the next layer's input, so the cache holds only
+    those inputs (``x``, every encoder activation, the bottleneck output) and
+    the logits.
     """
-    x = _check_input(params, x, dropout_rate)
-    use_dropout = dropout_on and dropout_rate > 0.0
-    rng = np.random.default_rng(seed) if use_dropout else None
-    first_act = _encoder_layer(params.encoder[0], x, params.activation)
-    return _forward_after_first_activation(params, x, first_act, rng, dropout_rate)
+    inputs = [_check_input(params, x)]
+    for layer in params.encoder:
+        inputs.append(_encoder_layer(layer, inputs[-1], params.activation))
+    inputs.append(linalg.matmul(inputs[-1], params.bottleneck.weight) + params.bottleneck.bias)
+    logits = linalg.matmul(inputs[-1], params.classifier.weight) + params.classifier.bias
+    return logits, ForwardCache(inputs, logits)
 
 
 def bottleneck_features(params: ModelParams, x) -> np.ndarray:
-    """Deterministic (dropout-free) bottleneck outputs for a batch."""
+    """Bottleneck outputs for a batch (the classifier's cached input)."""
     _, cache = forward(params, x)
-    return cache.bottleneck_out
+    return cache.inputs[-1]
 
 
 def backward(
@@ -226,66 +158,42 @@ def backward(
     dlogits,
     input_grad: bool = True,
     param_grads: bool = True,
-) -> Gradients:
+) -> tuple[list[tuple[np.ndarray, np.ndarray] | None], np.ndarray | None]:
     """Backpropagate a logit-space gradient seed through the cached pass.
 
-    Returns parameter gradients for every unfrozen group plus the gradient
-    with respect to the network input. Gradients still flow *through* frozen
-    groups; freezing only suppresses their parameter entries.
+    Returns ``(grads, d_x)``. ``grads[i]`` is the ``(weight, bias)`` gradient
+    of ``params.layers()[i]``, or None when that layer's group is frozen;
+    ``d_x`` is the gradient with respect to the network input. Gradients
+    still flow *through* frozen groups; freezing only suppresses their
+    parameter entries.
 
     A caller computes only what it reads: ``input_grad=False`` skips the
-    first layer's input gradient (``Gradients.input_grad`` is None), and
-    ``param_grads=False`` skips every parameter gradient as if all groups
-    were frozen. Whatever is computed has the same bits as in a full pass.
+    first layer's input gradient (``d_x`` is None), and ``param_grads=False``
+    skips every parameter gradient as if all groups were frozen. Whatever is
+    computed has the same bits as in a full pass.
     """
-    if len(cache.encoder_inputs) != len(params.encoder):
-        raise ValueError("cache does not match model: encoder depth differs")
+    layers = params.layers()
+    if len(cache.inputs) != len(layers) or any(
+        hidden.shape[1] != layer.weight.shape[0]
+        for hidden, (_, layer) in zip(cache.inputs, layers)
+    ):
+        raise ValueError("cache does not match model: layer count or width differs")
     if dlogits.shape != cache.logits.shape:
         raise ValueError(
             f"dlogits shape {dlogits.shape} does not match logits {cache.logits.shape}"
         )
-    if cache.bottleneck_input.shape[1] != params.bottleneck.weight.shape[0]:
-        raise ValueError("cache does not match model: bottleneck width differs")
     frozen = params.frozen if param_grads else set(GROUPS)
 
-    classifier_grads = None
-    if "classifier" not in frozen:
-        classifier_grads = LayerGrads(
-            weight=linalg.matmul(cache.bottleneck_out.T, dlogits),
-            bias=dlogits.sum(axis=0),
-        )
-    d_bottleneck_out = linalg.matmul(dlogits, params.classifier.weight.T)
-
-    bottleneck_grads = None
-    if "bottleneck" not in frozen:
-        bottleneck_grads = LayerGrads(
-            weight=linalg.matmul(cache.bottleneck_input.T, d_bottleneck_out),
-            bias=d_bottleneck_out.sum(axis=0),
-        )
-    d_hidden = linalg.matmul(d_bottleneck_out, params.bottleneck.weight.T)
-
-    encoder_frozen = "encoder" in frozen
-    encoder_grads: list[LayerGrads] | None = None if encoder_frozen else []
-    for i in range(len(params.encoder) - 1, -1, -1):
-        mask = cache.dropout_masks[i]
-        d_act = d_hidden if mask is None else d_hidden * mask
-        d_pre = d_act * _activation_grad(cache.encoder_activations[i], params.activation)
-        if not encoder_frozen:
-            grads = LayerGrads(
-                weight=linalg.matmul(cache.encoder_inputs[i].T, d_pre),
-                bias=d_pre.sum(axis=0),
-            )
-            encoder_grads.insert(0, grads)
-        d_hidden = None
-        if i > 0 or input_grad:
-            d_hidden = linalg.matmul(d_pre, params.encoder[i].weight.T)
-
-    return Gradients(
-        encoder=encoder_grads,
-        bottleneck=bottleneck_grads,
-        classifier=classifier_grads,
-        input_grad=d_hidden,
-    )
+    grads: list[tuple[np.ndarray, np.ndarray] | None] = [None] * len(layers)
+    d_out = dlogits
+    for i in range(len(layers) - 1, -1, -1):
+        group, layer = layers[i]
+        if group == "encoder":
+            d_out = d_out * _activation_grad(cache.inputs[i + 1], params.activation)
+        if group not in frozen:
+            grads[i] = (linalg.matmul(cache.inputs[i].T, d_out), d_out.sum(axis=0))
+        d_out = linalg.matmul(d_out, layer.weight.T) if i > 0 or input_grad else None
+    return grads, d_out
 
 
 def mc_dropout_predict(
@@ -297,21 +205,34 @@ def mc_dropout_predict(
 ) -> np.ndarray:
     """Mean softmax output over ``passes`` stochastic dropout forwards.
 
-    Pass ``i`` equals ``forward(params, x, dropout_rate, dropout_on=True,
-    seed=s_i)`` bit for bit, with ``s_i`` the ``i``-th draw of
-    ``default_rng(seed)``. Dropout acts only after the first encoder
+    This is the only stochastic pass of the package (MC dropout, used to
+    score uncertainty). Pass ``i`` is ``forward`` with inverted dropout
+    (kept units scale by 1/(1-rate)) after each hidden encoder activation.
+    Its masks are ``rng.random(act.shape) >= rate`` drawn one layer after
+    the other from ``rng = default_rng(s_i)``, with ``s_i`` the ``i``-th draw
+    of ``default_rng(seed)``. Dropout acts only after the first encoder
     activation, so ``act(x W1 + b1)`` is computed once and shared by all
     passes.
     """
     if passes < 1:
         raise ValueError(f"passes must be >= 1, got {passes}")
-    x = _check_input(params, x, dropout_rate)
+    x = _check_input(params, x)
+    if not 0.0 <= dropout_rate < 1.0:
+        raise ValueError(f"dropout_rate must be in [0, 1), got {dropout_rate}")
+
+    def drop(act: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        return act * ((rng.random(act.shape) >= dropout_rate) / (1.0 - dropout_rate))
+
     first_act = _encoder_layer(params.encoder[0], x, params.activation)
     pass_seeds = np.random.default_rng(seed).integers(0, 2**63 - 1, size=passes)
     total = None
     for pass_seed in pass_seeds:
-        rng = np.random.default_rng(int(pass_seed)) if dropout_rate > 0.0 else None
-        logits, _ = _forward_after_first_activation(params, x, first_act, rng, dropout_rate)
+        rng = np.random.default_rng(int(pass_seed))
+        hidden = drop(first_act, rng)
+        for layer in params.encoder[1:]:
+            hidden = drop(_encoder_layer(layer, hidden, params.activation), rng)
+        bottleneck_out = linalg.matmul(hidden, params.bottleneck.weight) + params.bottleneck.bias
+        logits = linalg.matmul(bottleneck_out, params.classifier.weight) + params.classifier.bias
         proba = linalg.row_softmax(logits)
         total = proba if total is None else total + proba
     return total / passes

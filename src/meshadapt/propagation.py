@@ -41,19 +41,14 @@ class PropagationError(RuntimeError):
 
 @dataclass
 class GraphLayout:
-    """Sizes of the labeled / augmented / unlabeled node blocks, in order."""
+    """Sizes of the seed / unlabeled node blocks, in order."""
 
-    n_labeled: int
-    n_augmented: int
+    n_seeds: int
     n_unlabeled: int
 
     @property
     def n_nodes(self) -> int:
-        return self.n_labeled + self.n_augmented + self.n_unlabeled
-
-    @property
-    def n_seeds(self) -> int:
-        return self.n_labeled + self.n_augmented
+        return self.n_seeds + self.n_unlabeled
 
     @property
     def unlabeled_slice(self) -> slice:
@@ -80,15 +75,12 @@ def build_graph(
     seed_classes,
     num_classes: int,
     k_hat: int,
-    n_labeled: int | None = None,
 ) -> PropagationGraph:
     """Assemble the propagation graph for one epoch.
 
     ``seed_classes`` is a 1-D integer array with one entry per row: a class
-    index for seed rows and -1 for unlabeled rows. Seed rows must form a
-    prefix of the node order; ``n_labeled`` says how many of them carry
-    ground truth (the rest of the prefix are augmented seeds) and defaults
-    to all of them.
+    index for seed rows (labeled or augmented alike) and -1 for unlabeled
+    rows. Seed rows must form a prefix of the node order.
     """
     features = linalg.require_matrix(features, "features")
     n = features.shape[0]
@@ -112,10 +104,6 @@ def build_graph(
         raise ValueError("graph needs at least one seed row")
     if not np.all(seeded[:n_seeds]):
         raise ValueError("seed rows must form a contiguous prefix of the node order")
-    if n_labeled is None:
-        n_labeled = n_seeds
-    if not 0 <= n_labeled <= n_seeds:
-        raise ValueError(f"n_labeled must be in [0, {n_seeds}], got {n_labeled}")
 
     # One n x n buffer: the cosine matrix becomes w_norm in place, one block
     # of rows at a time, and every other temporary is one block in size.
@@ -138,12 +126,7 @@ def build_graph(
     seed_rows = np.arange(n_seeds)
     seed_labels[seed_rows, classes[:n_seeds]] = 1.0
 
-    layout = GraphLayout(
-        n_labeled=n_labeled,
-        n_augmented=n_seeds - n_labeled,
-        n_unlabeled=n - n_seeds,
-    )
-    return PropagationGraph(features, w_norm, seed_labels, layout)
+    return PropagationGraph(features, w_norm, seed_labels, GraphLayout(n_seeds, n - n_seeds))
 
 
 def _cg_budget(alpha: float) -> int:

@@ -200,52 +200,28 @@ class _Cycler:
         return np.array(out, dtype=np.int64)
 
 
-def _sgd_step(
-    layers: list[model.LinearLayer],
-    grads: list[model.LayerGrads],
-    velocity: list[model.LayerGrads],
-    lr: float,
-    momentum: float,
-) -> None:
-    for layer, grad, vel in zip(layers, grads, velocity):
-        vel.weight = momentum * vel.weight + grad.weight
-        vel.bias = momentum * vel.bias + grad.bias
-        layer.weight -= lr * vel.weight
-        layer.bias -= lr * vel.bias
-
-
-def _zero_velocity(layers: list[model.LinearLayer]) -> list[model.LayerGrads]:
-    return [
-        model.LayerGrads(np.zeros_like(layer.weight), np.zeros_like(layer.bias))
-        for layer in layers
-    ]
-
-
-def _group(owner, name: str) -> list:
-    """One group's layers (of ModelParams) or layer gradients (of Gradients) as a list."""
-    value = getattr(owner, name)
-    return value if isinstance(value, list) else [value]
-
-
 class _MomentumSGD:
-    """Momentum SGD on every group not in ``params.frozen``, each at ``cfg.lr_<group>``."""
+    """Momentum SGD on each layer of a group not in ``params.frozen``, at ``cfg.lr_<group>``."""
 
     def __init__(self, params: model.ModelParams, cfg: AdaptConfig) -> None:
-        self._params = params
         self._momentum = cfg.momentum
-        self._lr = {g: getattr(cfg, f"lr_{g}") for g in model.GROUPS if g not in params.frozen}
-        self._velocity = {g: _zero_velocity(_group(params, g)) for g in self._lr}
+        self._slots = [
+            (i, layer, getattr(cfg, f"lr_{group}"),
+             [np.zeros_like(layer.weight), np.zeros_like(layer.bias)])
+            for i, (group, layer) in enumerate(params.layers())
+            if group not in params.frozen
+        ]
 
-    def step(self, contributions: list[model.Gradients]) -> None:
-        """Sum the gradient contributions in list order, then update each group."""
-        for g, lr in self._lr.items():
-            total = _group(contributions[0], g)
-            for extra in contributions[1:]:
-                total = [
-                    model.LayerGrads(t.weight + e.weight, t.bias + e.bias)
-                    for t, e in zip(total, _group(extra, g))
-                ]
-            _sgd_step(_group(self._params, g), total, self._velocity[g], lr, self._momentum)
+    def step(self, contributions: list[list]) -> None:
+        """Sum the per-layer gradient lists of ``model.backward`` in list order, then update."""
+        for i, layer, lr, velocity in self._slots:
+            weight, bias = contributions[0][i]
+            for grads in contributions[1:]:
+                weight, bias = weight + grads[i][0], bias + grads[i][1]
+            velocity[0] = self._momentum * velocity[0] + weight
+            velocity[1] = self._momentum * velocity[1] + bias
+            layer.weight -= lr * velocity[0]
+            layer.bias -= lr * velocity[1]
 
 
 def _require_finite(where: str, terms: dict) -> None:
@@ -290,7 +266,7 @@ def pretrain_source(
             proba = linalg.row_softmax(logits)
             loss, dlogits = losses.cross_entropy(proba, smoothed[batch])
             _require_finite(f"pretrain epoch {epoch}, step {step}", {"l_src": (loss, dlogits)})
-            sgd.step([model.backward(params, cache, dlogits, input_grad=False)])
+            sgd.step([model.backward(params, cache, dlogits, input_grad=False)[0]])
         acc = evaluate(params, val)
         if acc > best_acc:
             best_acc = acc
@@ -335,9 +311,7 @@ def _refresh_pseudo_labels(
     classes = np.concatenate(
         [y_labeled, seed_classes, np.full(rest_rows.size, -1, dtype=np.int64)]
     )
-    graph = propagation.build_graph(
-        features, classes, num_classes, cfg.k_hat, n_labeled=n_labeled
-    )
+    graph = propagation.build_graph(features, classes, num_classes, cfg.k_hat)
     result = propagation.propagate(graph, cfg.alpha)
 
     pseudo = np.empty(m, dtype=np.int64)
@@ -365,8 +339,14 @@ def _train_step(
     pseudo_u: np.ndarray | None,
     rng: np.random.Generator,
     where: str,
-) -> losses.LossBundle:
+) -> dict[str, float]:
     """One joint SGD step on a labeled batch and, when a term needs it, an unlabeled batch.
+
+    Returns the step's values of ``_LOSS_FIELDS``: each term's raw value (0.0
+    when ablated) and ``l_total = l_lab + (lambda0 * l_ps + l_ent + l_vadv +
+    l_div)``. The gradient contributions are summed in this order: labeled
+    cross entropy, the unlabeled seed ``lambda0 * d_ps + d_ent + d_div``,
+    then VAT on its perturbed branch.
 
     Each clean forward runs once: VAT takes the labeled and unlabeled
     probabilities as its clean reference instead of recomputing them, and
@@ -403,21 +383,23 @@ def _train_step(
         terms["l_vadv"] = (vat_result.loss, vat_result.dlogits)
     _require_finite(where, terms)
 
-    bundle = losses.total_reg(
-        terms["l_lab"], terms.get("l_ent"), terms.get("l_ps"),
-        vat_result.loss if vat_result is not None else None,
-        terms.get("l_div"), cfg.lambda0,
-    )
-    contributions = [(cache_l, bundle.dlogits_labeled)]
-    if cache_u is not None and bundle.dlogits_unlabeled is not None:
-        contributions.append((cache_u, bundle.dlogits_unlabeled))
+    contributions = [(cache_l, terms["l_lab"][1])]
+    if cache_u is not None:
+        pieces = [cfg.lambda0 * terms["l_ps"][1]] if "l_ps" in terms else []
+        pieces += [terms[name][1] for name in ("l_ent", "l_div") if name in terms]
+        contributions.append((cache_u, sum(pieces[1:], pieces[0])))
     if vat_result is not None:
         contributions.append((vat_result.cache, vat_result.dlogits))
+
     sgd.step([
-        model.backward(params, cache, dlogits, input_grad=False)
+        model.backward(params, cache, dlogits, input_grad=False)[0]
         for cache, dlogits in contributions
     ])
-    return bundle
+    values = {name: terms[name][0] if name in terms else 0.0 for name in _LOSS_FIELDS[:-1]}
+    values["l_total"] = values["l_lab"] + (
+        cfg.lambda0 * values["l_ps"] + values["l_ent"] + values["l_vadv"] + values["l_div"]
+    )
+    return values
 
 
 def adapt(
@@ -500,12 +482,12 @@ def adapt(
                 xb_u = x_unlabeled[batch_u]
                 if pseudo is not None:
                     pseudo_u = pseudo[batch_u]
-            bundle = _train_step(
+            values = _train_step(
                 params, sgd, cfg, x_labeled[batch_l], y_labeled[batch_l], xb_u, pseudo_u,
                 rng, f"epoch {epoch}, step {step}",
             )
             for name in _LOSS_FIELDS:
-                sums[name] += getattr(bundle, name)
+                sums[name] += values[name]
 
         test_acc = evaluate(params, test_set) if test_set is not None else float("nan")
         report.records.append(

@@ -94,8 +94,8 @@ def _param_arrays(params):
 
 def _grad_arrays(grads):
     out = []
-    for g in [*grads.encoder, grads.bottleneck, grads.classifier]:
-        out.extend([g.weight, g.bias])
+    for g in grads:
+        out.extend(g)
     return out
 
 
@@ -145,10 +145,10 @@ def test_criterion_2_gradients_match_finite_differences():
             for name, path in paths.items():
                 p, cache = proba()
                 _, dlogits = path()
-                grads = model.backward(params, cache, dlogits)
+                grads, d_x = model.backward(params, cache, dlogits)
                 scalar = lambda path=path: path()[0]
                 err = _fd_worst(_param_arrays(params), _grad_arrays(grads), scalar)
-                err = max(err, _fd_worst([x], [grads.input_grad], scalar))
+                err = max(err, _fd_worst([x], [d_x], scalar))
                 worst[name] = max(worst.get(name, 0.0), err)
 
             # adversarial smoothing: perturbation and reference fixed, net varies
@@ -161,9 +161,9 @@ def test_criterion_2_gradients_match_finite_differences():
                 return losses.kl_divergence(p_clean, linalg.row_softmax(logits))
 
             assert abs(vat.loss - vat_scalar()) < 1e-12
-            grads = model.backward(params, vat.cache, vat.dlogits)
+            grads, d_x = model.backward(params, vat.cache, vat.dlogits)
             err = _fd_worst(_param_arrays(params), _grad_arrays(grads), vat_scalar)
-            err = max(err, _fd_worst([shifted], [grads.input_grad], vat_scalar))
+            err = max(err, _fd_worst([shifted], [d_x], vat_scalar))
             worst["adversarial"] = max(worst.get("adversarial", 0.0), err)
 
     elapsed = time.time() - start

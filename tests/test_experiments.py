@@ -342,6 +342,21 @@ class TestCli:
         acc = float(capsys.readouterr().out.strip())
         assert 0.0 <= acc <= 1.0
 
+    def test_diverging_pretrain_prints_one_error_line(self, tmp_path, capsys):
+        datadir = tmp_path / "data"
+        cli.main(["gen-data", *TINY_FLAGS, "--out", str(datadir)])
+        capsys.readouterr()
+        rc = cli.main(["pretrain", *TINY_CFG_FLAGS, "--pretrain-epochs", "2",
+                       "--lr-encoder", "1e200", "--lr-bottleneck", "1e200",
+                       "--lr-classifier", "1e200",
+                       "--source", str(datadir / "source.tsv"),
+                       "--out", str(tmp_path / "pretrained.txt")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: pretrain epoch 1, step ")
+        assert "loss term l_src is not finite" in err
+
     def test_adapt_method_preset(self, tmp_path, capsys):
         datadir = tmp_path / "data"
         cli.main(["gen-data", *TINY_FLAGS, "--seed", "2021", "--out", str(datadir)])

@@ -22,7 +22,6 @@ from meshadapt.losses import (
     kl_divergence,
     pseudo_ce_loss,
     smooth_labels,
-    total_reg,
     vat_loss,
 )
 
@@ -310,38 +309,6 @@ class TestVatLoss:
             vat_loss(net, x, eps_vat=1.0, p_ref=np.full((1, 3), 1.0 / 3.0))
         with pytest.raises(ValueError, match="p_ref"):
             vat_loss(net, x, eps_vat=1.0, p_ref=np.full((2, 2), 0.5))
-
-
-class TestTotalReg:
-    def test_weighted_combination(self):
-        labeled = (0.7, np.full((2, 3), 0.1))
-        entropy = (0.5, np.full((4, 3), 0.2))
-        pseudo = (0.9, np.full((4, 3), 0.3))
-        diversity = (-0.4, np.full((4, 3), 0.4))
-        bundle = total_reg(labeled, entropy, pseudo, 0.25, diversity, lambda0=0.5)
-        assert bundle.l_reg == pytest.approx(0.5 * 0.9 + 0.5 + 0.25 - 0.4, abs=1e-12)
-        assert bundle.l_total == pytest.approx(0.7 + bundle.l_reg, abs=1e-12)
-        expected_seed = 0.5 * 0.3 + 0.2 + 0.4
-        assert np.allclose(bundle.dlogits_unlabeled, expected_seed, atol=1e-12)
-        assert np.allclose(bundle.dlogits_labeled, 0.1, atol=1e-15)
-
-    def test_all_absent_terms(self):
-        bundle = total_reg(None, None, None, None, None, lambda0=0.5)
-        assert bundle.l_total == 0.0
-        assert bundle.dlogits_labeled is None
-        assert bundle.dlogits_unlabeled is None
-
-    def test_pseudo_scaling_in_seed(self):
-        pseudo = (1.0, np.ones((2, 2)))
-        b_half = total_reg(None, None, pseudo, None, None, lambda0=0.5)
-        b_full = total_reg(None, None, pseudo, None, None, lambda0=1.0)
-        assert np.allclose(b_half.dlogits_unlabeled * 2, b_full.dlogits_unlabeled)
-        assert b_half.l_reg == 0.5
-        assert b_full.l_reg == 1.0
-
-    def test_negative_lambda_rejected(self):
-        with pytest.raises(ValueError, match="lambda0"):
-            total_reg(None, None, None, None, None, lambda0=-0.1)
 
 
 class TestLogFloor:

@@ -1,4 +1,4 @@
-"""Tests for the network: forward, backward, dropout, checkpoints.
+"""Tests for the network: forward, backward, MC dropout, checkpoints.
 
 The backward pass is checked against a central finite-difference oracle on
 every parameter tensor and on the inputs, for several architectures and
@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from meshadapt import model
-from meshadapt.linalg import row_softmax
+from meshadapt.linalg import matmul, row_softmax
 from meshadapt.losses import cross_entropy
 from meshadapt.model import (
     ModelParams,
@@ -47,28 +47,32 @@ def fd_param_gradient(params, x, y, tensor, h=1e-6):
 
 
 def per_pass_mc_oracle(params, x, passes, dropout_rate, seed):
-    """Mean softmax over one full ``forward`` per pass, each with its own seed."""
+    """Mean softmax over one explicitly masked forward per pass.
+
+    Pass ``i`` draws its masks from ``default_rng(s_i)``, ``s_i`` the ``i``-th
+    draw of ``default_rng(seed)``: one ``rng.random`` block per encoder
+    layer, in layer order, each applied after that layer's activation.
+    """
+    act = np.tanh if params.activation == "tanh" else lambda z: np.maximum(z, 0.0)
     pass_seeds = np.random.default_rng(seed).integers(0, 2**63 - 1, size=passes)
     total = None
     for pass_seed in pass_seeds:
-        logits, _ = forward(
-            params, x, dropout_rate=dropout_rate, dropout_on=True, seed=int(pass_seed)
-        )
-        proba = row_softmax(logits)
+        rng = np.random.default_rng(int(pass_seed))
+        hidden = x
+        for layer in params.encoder:
+            hidden = act(matmul(hidden, layer.weight) + layer.bias)
+            mask = (rng.random(hidden.shape) >= dropout_rate) / (1.0 - dropout_rate)
+            hidden = hidden * mask
+        for layer in (params.bottleneck, params.classifier):
+            hidden = matmul(hidden, layer.weight) + layer.bias
+        proba = row_softmax(hidden)
         total = proba if total is None else total + proba
     return total / passes
 
 
 def gradient_bytes(grads):
-    """Every parameter gradient of ``grads`` as bytes, None for a skipped group."""
-    out = []
-    for group in (grads.encoder, grads.bottleneck, grads.classifier):
-        if group is None:
-            out.append(None)
-            continue
-        for layer in group if isinstance(group, list) else [group]:
-            out.extend([layer.weight.tobytes(), layer.bias.tobytes()])
-    return out
+    """Every parameter gradient of a ``backward`` list as bytes, None for a skipped layer."""
+    return [None if g is None else (g[0].tobytes(), g[1].tobytes()) for g in grads]
 
 
 def make_problem(seed, dims):
@@ -130,9 +134,9 @@ class TestForward:
         net, x, _ = make_problem(0, [3, 6, 4, 2])
         logits, cache = forward(net, x)
         assert logits.shape == (5, 2)
-        assert cache.bottleneck_out.shape == (5, 4)
+        assert [a.shape for a in cache.inputs] == [(5, 3), (5, 6), (5, 4)]
         assert np.array_equal(cache.logits, logits)
-        assert np.array_equal(cache.x, x)
+        assert np.array_equal(cache.inputs[0], x)
 
     def test_deterministic(self):
         net, x, _ = make_problem(1, [3, 6, 4, 2])
@@ -154,37 +158,6 @@ class TestForward:
         expected = f @ net.classifier.weight + net.classifier.bias
         assert np.allclose(logits, expected, atol=1e-12)
 
-    def test_dropout_off_by_default(self):
-        net, x, _ = make_problem(2, [3, 6, 4, 2])
-        a, _ = forward(net, x, dropout_rate=0.5, dropout_on=False)
-        b, _ = forward(net, x)
-        assert np.array_equal(a, b)
-
-    def test_dropout_changes_output_and_is_seeded(self):
-        net, x, _ = make_problem(3, [3, 16, 4, 2])
-        clean, _ = forward(net, x)
-        a, _ = forward(net, x, dropout_rate=0.5, dropout_on=True, seed=7)
-        b, _ = forward(net, x, dropout_rate=0.5, dropout_on=True, seed=7)
-        c, _ = forward(net, x, dropout_rate=0.5, dropout_on=True, seed=8)
-        assert not np.array_equal(a, clean)
-        assert np.array_equal(a, b)
-        assert not np.array_equal(a, c)
-
-    def test_dropout_masks_follow_one_seeded_stream(self):
-        # layer by layer, each mask is the next rng.random block of default_rng(seed)
-        net, x, _ = make_problem(3, [3, 7, 6, 4, 2])
-        _, cache = forward(net, x, dropout_rate=0.3, dropout_on=True, seed=9)
-        rng = np.random.default_rng(9)
-        for mask, act in zip(cache.dropout_masks, cache.encoder_activations):
-            expected = (rng.random(act.shape) >= 0.3) / (1.0 - 0.3)
-            assert mask.tobytes() == expected.tobytes()
-
-    def test_dropout_rate_zero_is_clean(self):
-        net, x, _ = make_problem(4, [3, 6, 4, 2])
-        a, _ = forward(net, x, dropout_rate=0.0, dropout_on=True, seed=1)
-        b, _ = forward(net, x)
-        assert np.array_equal(a, b)
-
     def test_input_dim_mismatch(self):
         net, _, _ = make_problem(5, [3, 6, 4, 2])
         with pytest.raises(ValueError, match="columns"):
@@ -196,7 +169,7 @@ class TestBottleneckFeatures:
         net, x, _ = make_problem(6, [3, 6, 4, 2])
         _, cache = forward(net, x)
         feats = bottleneck_features(net, x)
-        assert np.array_equal(feats, cache.bottleneck_out)
+        assert np.array_equal(feats, cache.inputs[-1])
 
 
 class TestBackward:
@@ -205,16 +178,12 @@ class TestBackward:
     def test_matches_finite_differences(self, dims, seed):
         net, x, y = make_problem(seed, dims)
         loss, dlogits, cache = scalar_loss(net, x, y)
-        grads = backward(net, cache, dlogits)
+        grads, _ = backward(net, cache, dlogits)
 
         pairs = []
-        for li, layer in enumerate(net.encoder):
-            pairs.append((grads.encoder[li].weight, layer.weight))
-            pairs.append((grads.encoder[li].bias, layer.bias))
-        pairs.append((grads.bottleneck.weight, net.bottleneck.weight))
-        pairs.append((grads.bottleneck.bias, net.bottleneck.bias))
-        pairs.append((grads.classifier.weight, net.classifier.weight))
-        pairs.append((grads.classifier.bias, net.classifier.bias))
+        for (w_grad, b_grad), (_, layer) in zip(grads, net.layers(), strict=True):
+            pairs.append((w_grad, layer.weight))
+            pairs.append((b_grad, layer.bias))
 
         for analytic, tensor in pairs:
             fd = fd_param_gradient(net, x, y, tensor)
@@ -224,7 +193,7 @@ class TestBackward:
     def test_input_gradient_matches_fd(self):
         net, x, y = make_problem(7, [3, 6, 4, 2])
         _, dlogits, cache = scalar_loss(net, x, y)
-        grads = backward(net, cache, dlogits)
+        _, d_x = backward(net, cache, dlogits)
         h = 1e-6
         fd = np.zeros_like(x)
         for i in range(x.shape[0]):
@@ -235,48 +204,38 @@ class TestBackward:
                 xm[i, j] -= h
                 fd[i, j] = (scalar_loss(net, xp, y)[0] - scalar_loss(net, xm, y)[0]) / (2 * h)
         scale = max(float(np.abs(fd).max()), 1e-8)
-        assert np.allclose(grads.input_grad, fd, atol=1e-4 * scale)
+        assert np.allclose(d_x, fd, atol=1e-4 * scale)
 
     def test_frozen_groups_get_no_gradients(self):
         net, x, y = make_problem(8, [3, 6, 4, 2])
         net.frozen.add("classifier")
         _, dlogits, cache = scalar_loss(net, x, y)
-        grads = backward(net, cache, dlogits)
-        assert grads.classifier is None
-        assert grads.bottleneck is not None
+        grads, _ = backward(net, cache, dlogits)
+        assert [group for group, _ in net.layers()] == ["encoder", "bottleneck", "classifier"]
+        assert grads[2] is None
+        assert grads[1] is not None
         # gradients still flow through the frozen head to earlier groups
-        assert float(np.abs(grads.encoder[0].weight).max()) > 0.0
-
-    def test_gradient_flows_through_dropout_mask(self):
-        net, x, y = make_problem(9, [3, 12, 4, 2])
-        logits, cache = forward(net, x, dropout_rate=0.5, dropout_on=True, seed=3)
-        _, dlogits = cross_entropy(row_softmax(logits), y)
-        grads = backward(net, cache, dlogits)
-        mask = cache.dropout_masks[0]
-        dropped_units = np.flatnonzero(np.all(mask == 0.0, axis=0))
-        if dropped_units.size:
-            # a unit silenced for the whole batch receives no weight gradient
-            assert np.allclose(grads.encoder[0].weight[:, dropped_units], 0.0)
+        assert float(np.abs(grads[0][0]).max()) > 0.0
 
     @pytest.mark.parametrize("dims", [[3, 6, 4, 2], [2, 5, 5, 3, 4]])
-    @pytest.mark.parametrize("dropout_on", [False, True])
+    @pytest.mark.parametrize("relu", [False, True])
     @pytest.mark.parametrize("frozen", [set(), {"classifier"}, {"encoder"}])
-    def test_partial_passes_match_full_bitwise(self, dims, dropout_on, frozen):
+    def test_partial_passes_match_full_bitwise(self, dims, relu, frozen):
         net, x, y = make_problem(16, dims)
+        net.activation = "relu" if relu else "tanh"
         net.frozen = set(frozen)
-        logits, cache = forward(net, x, dropout_rate=0.4, dropout_on=dropout_on, seed=5)
+        logits, cache = forward(net, x)
         _, dlogits = cross_entropy(row_softmax(logits), y)
-        full = backward(net, cache, dlogits)
+        full, full_d_x = backward(net, cache, dlogits)
+        assert [g is None for g in full] == [g in frozen for g, _ in net.layers()]
 
-        no_input = backward(net, cache, dlogits, input_grad=False)
-        assert no_input.input_grad is None
+        no_input, no_d_x = backward(net, cache, dlogits, input_grad=False)
+        assert no_d_x is None
         assert gradient_bytes(no_input) == gradient_bytes(full)
 
-        input_only = backward(net, cache, dlogits, param_grads=False)
-        assert input_only.encoder is None
-        assert input_only.bottleneck is None
-        assert input_only.classifier is None
-        assert input_only.input_grad.tobytes() == full.input_grad.tobytes()
+        input_only, d_x = backward(net, cache, dlogits, param_grads=False)
+        assert input_only == [None] * len(net.layers())
+        assert d_x.tobytes() == full_d_x.tobytes()
 
     def test_cache_mismatch_rejected(self):
         net, x, y = make_problem(10, [3, 6, 4, 2])
@@ -304,7 +263,11 @@ class TestMcDropout:
         net, x, _ = make_problem(13, [3, 10, 4, 3])
         a = mc_dropout_predict(net, x, passes=5, dropout_rate=0.5, seed=21)
         b = mc_dropout_predict(net, x, passes=5, dropout_rate=0.5, seed=21)
+        c = mc_dropout_predict(net, x, passes=5, dropout_rate=0.5, seed=22)
+        clean = row_softmax(forward(net, x)[0])
         assert np.array_equal(a, b)
+        assert not np.array_equal(a, c)
+        assert not np.array_equal(a, clean)
 
     def test_zero_rate_equals_plain_softmax(self):
         net, x, _ = make_problem(14, [3, 10, 4, 3])

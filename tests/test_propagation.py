@@ -94,17 +94,17 @@ GRAPH_CASES = [
 ]
 
 
-def random_graph(seed, n=30, num_classes=3, k_hat=5, n_labeled=6):
+def random_graph(seed, n=30, num_classes=3, k_hat=5, n_seeds=6):
     rng = np.random.default_rng(seed)
     features = rng.standard_normal((n, 4))
     classes = np.full(n, -1)
-    classes[:n_labeled] = rng.integers(0, num_classes, size=n_labeled)
-    return build_graph(features, classes, num_classes, k_hat, n_labeled=n_labeled)
+    classes[:n_seeds] = rng.integers(0, num_classes, size=n_seeds)
+    return build_graph(features, classes, num_classes, k_hat)
 
 
 class TestGraphLayout:
     def test_counts(self):
-        layout = GraphLayout(n_labeled=3, n_augmented=2, n_unlabeled=10)
+        layout = GraphLayout(n_seeds=5, n_unlabeled=10)
         assert layout.n_nodes == 15
         assert layout.n_seeds == 5
         assert layout.unlabeled_slice == slice(5, 15)
@@ -136,17 +136,16 @@ class TestBuildGraph:
         expected[0, 1] = 1.0
         expected[1, 0] = 1.0
         assert np.array_equal(graph.seed_labels, expected)
-        assert graph.layout.n_labeled == 2
-        assert graph.layout.n_augmented == 0
+        assert graph.layout.n_seeds == 2
         assert graph.layout.n_unlabeled == 4
 
     def test_augmented_block_accounting(self):
+        # labeled and augmented seeds form one prefix and count alike
         features = np.random.default_rng(3).standard_normal((8, 3))
         classes = np.array([0, 1, 1, 0, -1, -1, -1, -1])
-        graph = build_graph(features, classes, num_classes=2, k_hat=3, n_labeled=2)
-        assert graph.layout.n_labeled == 2
-        assert graph.layout.n_augmented == 2
+        graph = build_graph(features, classes, num_classes=2, k_hat=3)
         assert graph.layout.n_seeds == 4
+        assert graph.layout.unlabeled_slice == slice(4, 8)
 
     def test_seed_prefix_enforced(self):
         features = np.random.default_rng(4).standard_normal((5, 3))
@@ -290,7 +289,7 @@ class TestPropagate:
             propagate(graph, alpha=0.9)
 
     def test_seed_rows_dominated_by_own_class(self):
-        graph = random_graph(7, n=20, num_classes=3, n_labeled=6)
+        graph = random_graph(7, n=20, num_classes=3, n_seeds=6)
         result = propagate(graph, alpha=0.5)
         seeded_classes = np.argmax(graph.seed_labels[:6], axis=1)
         recovered = np.argmax(result.scores[:6], axis=1)
@@ -308,7 +307,7 @@ class TestPropagate:
                 propagate(graph, alpha=alpha)
 
     def test_result_block_shapes(self):
-        graph = random_graph(10, n=30, n_labeled=6)
+        graph = random_graph(10, n=30, n_seeds=6)
         result = propagate(graph, alpha=0.9)
         assert result.scores.shape == (30, 3)
         assert result.pseudo_labels.shape == (24,)

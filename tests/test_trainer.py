@@ -15,7 +15,8 @@ from meshadapt.trainer import (
     EpochRecord,
     TrainReport,
     _Cycler,
-    _sgd_step,
+    _MomentumSGD,
+    _train_step,
     adapt,
     evaluate,
     pretrain_source,
@@ -103,17 +104,113 @@ class TestAdaptConfig:
 
 class TestSgdStep:
     def test_momentum_arithmetic(self):
-        layer = model.LinearLayer(np.array([[1.0]]), np.array([0.5]))
-        grad = model.LayerGrads(np.array([[2.0]]), np.array([1.0]))
-        vel = model.LayerGrads(np.zeros((1, 1)), np.zeros(1))
-        _sgd_step([layer], [grad], [vel], lr=0.1, momentum=0.9)
+        net = model.init_model([1, 1, 1, 1], seed=0)
+        net.frozen = {"encoder", "classifier"}
+        net.bottleneck = model.LinearLayer(np.array([[1.0]]), np.array([0.5]))
+        sgd = _MomentumSGD(net, small_cfg(lr_bottleneck=0.1, momentum=0.9))
+        grads = [None, (np.array([[2.0]]), np.array([1.0])), None]
+        sgd.step([grads])
         # v = 0.9*0 + 2 = 2; w = 1 - 0.1*2 = 0.8
-        assert layer.weight[0, 0] == pytest.approx(0.8, abs=1e-15)
-        assert layer.bias[0] == pytest.approx(0.5 - 0.1, abs=1e-15)
-        _sgd_step([layer], [grad], [vel], lr=0.1, momentum=0.9)
-        # v = 0.9*2 + 2 = 3.8; w = 0.8 - 0.38 = 0.42
-        assert layer.weight[0, 0] == pytest.approx(0.42, abs=1e-15)
-        assert vel.weight[0, 0] == pytest.approx(3.8, abs=1e-15)
+        assert net.bottleneck.weight[0, 0] == pytest.approx(0.8, abs=1e-15)
+        assert net.bottleneck.bias[0] == pytest.approx(0.5 - 0.1, abs=1e-15)
+        sgd.step([grads])
+        # v = 0.9*2 + 2 = 3.8; w = 0.8 - 0.1*3.8 = 0.42
+        assert net.bottleneck.weight[0, 0] == pytest.approx(0.42, abs=1e-15)
+        assert net.bottleneck.bias[0] == pytest.approx(0.4 - 0.1 * 1.9, abs=1e-15)
+
+    def test_contributions_summed_in_order_at_each_group_rate(self):
+        net = model.init_model([2, 3, 2, 2], seed=1)
+        net.frozen = {"classifier"}
+        before = net.copy()
+        cfg = small_cfg(lr_encoder=0.25, lr_bottleneck=0.5, momentum=0.9)
+        rng = np.random.default_rng(2)
+        contributions = [
+            [(rng.standard_normal(layer.weight.shape), rng.standard_normal(layer.bias.shape))
+             if group != "classifier" else None
+             for group, layer in net.layers()]
+            for _ in range(3)
+        ]
+        _MomentumSGD(net, cfg).step(contributions)
+        for i, ((group, layer), (_, old)) in enumerate(zip(net.layers(), before.layers())):
+            if group == "classifier":
+                assert layer.weight.tobytes() == old.weight.tobytes()
+                continue
+            lr = 0.25 if group == "encoder" else 0.5
+            for new, start, k in ((layer.weight, old.weight, 0), (layer.bias, old.bias, 1)):
+                total = contributions[0][i][k] + contributions[1][i][k] + contributions[2][i][k]
+                # first step: the velocity is the summed gradient itself
+                assert new.tobytes() == (start - lr * total).tobytes()
+
+
+class TestTrainStepLosses:
+    """How ``_train_step`` weights the terms, with each loss pinned to a fixed
+    value and a constant logit gradient."""
+
+    FIXED = {
+        "cross_entropy": (0.7, 0.1),
+        "entropy_loss": (0.5, 0.2),
+        "pseudo_ce_loss": (0.9, 0.3),
+        "diversity_loss": (-0.4, 0.4),
+    }
+
+    def run_step(self, monkeypatch, **overrides):
+        for name, (value, grad) in self.FIXED.items():
+            monkeypatch.setattr(
+                losses, name, lambda p, *_, v=value, g=grad: (v, np.full_like(p, g))
+            )
+        vat_loss, backward = losses.vat_loss, model.backward
+        seeds = []
+
+        def fixed_vat(*args, **kwargs):
+            result = vat_loss(*args, **kwargs)
+            return result._replace(loss=0.25, dlogits=np.full_like(result.dlogits, 0.5))
+
+        def recording_backward(params, cache, dlogits, param_grads=True, **kwargs):
+            if param_grads:  # VAT's power iteration reads only the input gradient
+                seeds.append(dlogits)
+            return backward(params, cache, dlogits, param_grads=param_grads, **kwargs)
+
+        monkeypatch.setattr(losses, "vat_loss", fixed_vat)
+        monkeypatch.setattr(model, "backward", recording_backward)
+        net = model.init_model([3, 4, 3, 3], seed=0)
+        rng = np.random.default_rng(0)
+        cfg = small_cfg(**overrides)
+        unlabeled = not (cfg.no_ent and cfg.no_ps and cfg.no_div and cfg.no_vat)
+        values = _train_step(
+            net, _MomentumSGD(net, cfg), cfg,
+            rng.standard_normal((2, 3)), np.array([0, 1]),
+            rng.standard_normal((4, 3)) if unlabeled else None,
+            np.array([0, 1, 2, 0]) if unlabeled else None,
+            rng, "epoch 1, step 1",
+        )
+        return values, seeds
+
+    def test_weighted_combination(self, monkeypatch):
+        values, seeds = self.run_step(monkeypatch, lambda0=0.5)
+        reg = 0.5 * 0.9 + 0.5 + 0.25 - 0.4
+        assert values["l_total"] == pytest.approx(0.7 + reg, abs=1e-12)
+        assert (values["l_lab"], values["l_ent"], values["l_ps"]) == (0.7, 0.5, 0.9)
+        assert (values["l_vadv"], values["l_div"]) == (0.25, -0.4)
+        # labeled seed, unlabeled seed, then VAT's seed on the perturbed branch
+        assert [seed.shape for seed in seeds] == [(2, 3), (4, 3), (6, 3)]
+        assert np.allclose(seeds[0], 0.1, atol=1e-15)
+        assert np.allclose(seeds[1], 0.5 * 0.3 + 0.2 + 0.4, atol=1e-12)
+        assert np.allclose(seeds[2], 0.5, atol=1e-15)
+
+    def test_all_absent_terms(self, monkeypatch):
+        values, seeds = self.run_step(
+            monkeypatch, no_ent=True, no_ps=True, no_vat=True, no_div=True
+        )
+        assert values == dict(l_lab=0.7, l_ent=0.0, l_ps=0.0, l_vadv=0.0, l_div=0.0, l_total=0.7)
+        assert len(seeds) == 1
+
+    def test_pseudo_scaling_in_seed(self, monkeypatch):
+        only_ps = dict(no_ent=True, no_vat=True, no_div=True)
+        half, half_seeds = self.run_step(monkeypatch, lambda0=0.5, **only_ps)
+        full, full_seeds = self.run_step(monkeypatch, lambda0=1.0, **only_ps)
+        assert np.allclose(half_seeds[1] * 2, full_seeds[1])
+        assert half["l_total"] - half["l_lab"] == pytest.approx(0.45, abs=1e-12)
+        assert full["l_total"] - full["l_lab"] == pytest.approx(0.9, abs=1e-12)
 
 
 class TestCycler:
