@@ -6,6 +6,8 @@ returned logit-space gradient is compared against numerical differentiation
 of that same scalar. Spot values come from hand-computed closed forms.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -14,6 +16,7 @@ from hypothesis.extra.numpy import arrays
 
 from meshadapt import losses, model
 from meshadapt.linalg import row_softmax
+from meshadapt.trainer import AdaptConfig
 from meshadapt.losses import (
     LOG_FLOOR,
     cross_entropy,
@@ -309,6 +312,19 @@ class TestVatLoss:
             vat_loss(net, x, eps_vat=1.0, p_ref=np.full((1, 3), 1.0 / 3.0))
         with pytest.raises(ValueError, match="p_ref"):
             vat_loss(net, x, eps_vat=1.0, p_ref=np.full((2, 2), 0.5))
+
+
+class TestTotalReg:
+    """The total regulariser ``lambda0 * L_ps + L_ent + L_vadv + L_div`` is
+    formed in ``trainer._train_step`` (its weighting is tested there); the
+    pseudo-label weight it reads comes from ``AdaptConfig``."""
+
+    def test_negative_lambda_rejected(self):
+        with pytest.raises(ValueError, match="lambda0"):
+            AdaptConfig(lambda0=-0.1)
+        # sweeps and per-seed runs derive their configs with dataclasses.replace
+        with pytest.raises(ValueError, match="lambda0"):
+            replace(AdaptConfig(), lambda0=-0.1)
 
 
 class TestLogFloor:

@@ -158,6 +158,22 @@ class TestForward:
         expected = f @ net.classifier.weight + net.classifier.bias
         assert np.allclose(logits, expected, atol=1e-12)
 
+    def test_dropout_masks_follow_one_seeded_stream(self):
+        # forward draws no masks; a one-pass MC forward applies, layer by
+        # layer, the next rng.random block of the single stream its pass seed starts
+        net, x, _ = make_problem(3, [3, 7, 6, 4, 2])
+        (pass_seed,) = np.random.default_rng(9).integers(0, 2**63 - 1, size=1)
+        rng = np.random.default_rng(int(pass_seed))
+        hidden = x
+        for layer in net.encoder:
+            hidden = np.tanh(matmul(hidden, layer.weight) + layer.bias)
+            hidden = hidden * ((rng.random(hidden.shape) >= 0.3) / (1.0 - 0.3))
+        for layer in (net.bottleneck, net.classifier):
+            hidden = matmul(hidden, layer.weight) + layer.bias
+        mean = mc_dropout_predict(net, x, passes=1, dropout_rate=0.3, seed=9)
+        assert mean.tobytes() == row_softmax(hidden).tobytes()
+        assert not np.array_equal(mean, row_softmax(forward(net, x)[0]))
+
     def test_input_dim_mismatch(self):
         net, _, _ = make_problem(5, [3, 6, 4, 2])
         with pytest.raises(ValueError, match="columns"):
